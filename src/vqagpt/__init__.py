@@ -2,7 +2,7 @@
 
 The package is layered bottom-up:
 
-    kernels     numba/numpy hot loops (env-selected, see VQAGPT_NUMBA)
+    kernels     numpy hot loops (im2col, col2im, row scatter, fused Adam)
     autodiff    reverse-mode Tensor engine + Adam
     tokenizers  word vocabulary, cnn_lite / vit_lite vision tokenizers
     embedding   type + pose + token embedding, token sequencing
@@ -49,10 +49,8 @@ from .model import (
 )
 from .tokenizers import (
     VisionTokenizerConfig,
-    VisionTokens,
     Vocabulary,
     build_vocab,
-    tokenize_image,
     tokenize_question,
 )
 
@@ -70,7 +68,6 @@ __all__ = [
     "MetricsReport", "compute_metrics",
     "VQAModel", "ModelConfig", "classify", "decoder_forward", "init_params",
     "load_checkpoint", "save_checkpoint", "train_step",
-    "VisionTokenizerConfig", "VisionTokens", "Vocabulary",
-    "build_vocab", "tokenize_image", "tokenize_question",
+    "VisionTokenizerConfig", "Vocabulary", "build_vocab", "tokenize_question",
     "__version__",
 ]

@@ -81,9 +81,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- operator sugar ------------------------------------------------------
 
     def __add__(self, other):
@@ -112,12 +109,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def backward(self, grad=None):
-        backward(self, grad)
-
-    def zero_grad(self):
-        self.grad = None
 
 
 def _as_tensor(x, like: Tensor) -> Tensor:

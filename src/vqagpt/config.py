@@ -3,7 +3,9 @@
 Every key is declared once in ``RunConfig`` with its type and default;
 parsing validates against that schema and rejects unknown or duplicate
 keys.  ``serialize_config`` emits a canonical form whose reparse yields an
-equal config (parse -> serialize -> parse is a fixed point).
+equal config (parse -> serialize -> parse is a fixed point).  Two retired
+keys, which checkpoints written before their removal still carry, parse
+at the values such a run could hold and are then dropped.
 
 Defaults follow the source training recipe (80 epochs, batch 64,
 lr 1e-5, zero vision pose).  The "desk" profile overrides them with
@@ -30,12 +32,10 @@ class RunConfig:
     mlp_ratio: int = 4
     max_pos: int = 64
     num_classes: int = 11
-    dropout: float = 0.0
     # sequencing / embedding scheme
     order: str = "early_word"
     vision_pose_mode: str = "zero"
     use_type_embedding: bool = True
-    use_vision_projection_path: bool = True
     # vision tokenizer
     vision_backend: str = "cnn_lite"
     image_size: int = 32
@@ -88,7 +88,6 @@ class RunConfig:
             order=self.order,
             vision_pose_mode=self.vision_pose_mode,
             use_type_embedding=self.use_type_embedding,
-            use_vision_projection_path=self.use_vision_projection_path,
         )
 
     def tokenizer_config(self) -> VisionTokenizerConfig:
@@ -108,7 +107,6 @@ class RunConfig:
             mlp_ratio=self.mlp_ratio,
             max_pos=self.max_pos,
             num_classes=self.num_classes if num_classes is None else num_classes,
-            dropout=self.dropout,
             sequencing=self.sequencing_config(),
             tokenizer=self.tokenizer_config(),
             vocab_size=vocab_size,
@@ -116,6 +114,14 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+# Retired key -> (type, accepted values).  dropout was only ever legal at 0;
+# the projection switch had no effect short of an error, since the vision
+# projection exists exactly when token_dim != d.
+_RETIRED_KEYS = {
+    "dropout": (float, (0.0,)),
+    "use_vision_projection_path": (bool, (True, False)),
+}
 
 PROFILES = {
     # The defaults already are the source recipe; spelling it out keeps
@@ -147,9 +153,12 @@ PROFILES = {
 
 
 def _parse_value(key: str, raw: str):
-    if key not in _FIELD_TYPES:
+    if key in _FIELD_TYPES:
+        ftype = _FIELD_TYPES[key]
+    elif key in _RETIRED_KEYS:
+        ftype = _RETIRED_KEYS[key][0]
+    else:
         raise ConfigError(f"unknown config key {key!r}")
-    ftype = _FIELD_TYPES[key]
     raw = raw.strip()
     try:
         if ftype is bool:
@@ -185,7 +194,15 @@ def parse_config(text: str, base: RunConfig = None) -> RunConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        updates[key] = _parse_value(key, raw)
+        value = _parse_value(key, raw)
+        if key in _RETIRED_KEYS:
+            if value not in _RETIRED_KEYS[key][1]:
+                raise ConfigError(
+                    f"line {lineno}: retired key {key!r} = {raw.strip()} is not "
+                    f"supported; it only accepts {_RETIRED_KEYS[key][1]}"
+                )
+            continue
+        updates[key] = value
     return replace(cfg, **updates)
 
 

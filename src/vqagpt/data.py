@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import DataError
 from .ppm import read_ppm, write_ppm
+from .tokenizers import _words
 
 SHAPES = ("square", "circle", "triangle")
 COLORS = ("red", "green", "blue")
@@ -388,8 +389,9 @@ def load_dataset(manifest, label_map_path=None) -> VQADataset:
             if answer not in label_map:
                 raise DataError(f"{manifest}:{lineno}: unknown class {answer!r}")
             question = record["question"]
-            if not isinstance(question, str) or not question.strip():
-                raise DataError(f"{manifest}:{lineno}: empty question")
+            if not isinstance(question, str) or not _words(question):
+                # A question with no words would tokenize to all padding.
+                raise DataError(f"{manifest}:{lineno}: question has no words: {question!r}")
             template = record["template"]
             if not isinstance(template, int) or template < 0:
                 raise DataError(f"{manifest}:{lineno}: bad template index {template!r}")

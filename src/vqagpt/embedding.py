@@ -26,7 +26,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-from .tokenizers import VisionTokens
 
 WORD_TYPE = 0
 VISION_TYPE = 1
@@ -37,7 +36,6 @@ class SequencingConfig:
     order: str = "early_word"  # early_word | early_vision
     vision_pose_mode: str = "zero"  # zero | actual
     use_type_embedding: bool = True
-    use_vision_projection_path: bool = True
 
     def validate(self) -> None:
         if self.order not in ("early_word", "early_vision"):
@@ -51,8 +49,8 @@ class EmbeddingTables:
     """Learned tables: word rows, two type rows, shared pose rows, optional projection.
 
     ``proj_w``/``proj_b`` exist iff the raw vision token width differs from
-    the embedding width (and the projection path is enabled); widths that
-    already match feed vision tokens in unprojected.
+    the embedding width; widths that already match feed vision tokens in
+    unprojected.
     """
 
     word_table: ad.Tensor  # (vocab, d)
@@ -87,7 +85,6 @@ def init_embedding_tables(
     d: int,
     max_pos: int,
     token_dim: int,
-    use_projection_path: bool,
     rng: np.random.Generator,
     dtype,
 ) -> EmbeddingTables:
@@ -104,11 +101,6 @@ def init_embedding_tables(
         pos_table=w(max_pos, d),
     )
     if token_dim != d:
-        if not use_projection_path:
-            raise ConfigError(
-                f"vision token_dim {token_dim} != embedding width {d} requires "
-                "the vision projection path"
-            )
         tables.proj_w = w(token_dim, d)
         tables.proj_b = ad.Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
     return tables
@@ -139,25 +131,15 @@ def embed_words(ids: np.ndarray, tables: EmbeddingTables, cfg: SequencingConfig 
     return ad.add(base, tok)
 
 
-def embed_vision(
-    vt,
-    tables: EmbeddingTables,
-    cfg: SequencingConfig,
-    word_count: int,
-) -> ad.Tensor:
+def embed_vision(tokens: ad.Tensor, tables: EmbeddingTables, cfg: SequencingConfig) -> ad.Tensor:
     """Embed raw vision tokens (..., m, token_dim) into (..., m, d).
 
-    ``word_count`` is accepted for interface symmetry and overflow checking
-    only: actual-mode pose ids restart at 1 rather than continuing the word
-    segment's numbering, so it never shifts the vision pose rows.
+    Actual-mode pose ids restart at 1 rather than continuing the word
+    segment's numbering, so the vision pose rows never depend on the
+    question length.
     """
-    tokens = vt.tokens if isinstance(vt, VisionTokens) else vt
     m = tokens.shape[-2]
     token_dim = tokens.shape[-1]
-    if word_count > tables.max_pos:
-        raise ValueError(
-            f"word count {word_count} overflows pose table of {tables.max_pos} rows"
-        )
     if token_dim != tables.d:
         if tables.proj_w is None:
             raise ConfigError(

@@ -1,51 +1,18 @@
-"""Hot inner-loop kernels with two interchangeable implementations.
+"""Hot inner-loop kernels in plain numpy.
 
 Everything here is a gather, scatter, or fused elementwise update that
-dominates profile time outside of BLAS matmuls.  Each kernel exists twice:
-a pure-numpy version and a numba ``@njit`` version.  The active set is
-picked once at import from the ``VQAGPT_NUMBA`` environment variable:
-
-    "1"    require numba (raise if it is not importable)
-    "0"    force the numpy path
-    unset  use numba when available, numpy otherwise
-
-Both paths accumulate in the same order, so for a given dtype they produce
-bitwise-identical results; ``tests/test_kernels.py`` pins that down.
-Large matrix products are deliberately left to numpy BLAS on both paths.
-
-``select_backend`` rebinds the active set at runtime, which the test suite
-and the benchmark harness use to compare paths inside one process.
+dominates profile time outside of BLAS matmuls: the im2col/col2im pair
+behind ``autodiff.conv2d``, the duplicate-safe row scatter behind the
+embedding gradient, and the fused Adam update.  Large matrix products are
+left to numpy BLAS.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # Transparent decorator so the @njit definitions below still import.
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def im2col_numpy(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
     """Unfold (B, C, H, W) into (B, OH*OW, C*kh*kw) patch rows.
 
     Row p of sample b holds the receptive field of output pixel p in
@@ -67,10 +34,10 @@ def im2col_numpy(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.n
     )
 
 
-def col2im_numpy(
+def col2im(
     cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, pad: int
 ) -> np.ndarray:
-    """Adjoint of ``im2col_numpy``: scatter patch rows back, summing overlaps."""
+    """Adjoint of ``im2col``: scatter patch rows back, summing overlaps."""
     b, c, h, w = x_shape
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
@@ -87,22 +54,12 @@ def col2im_numpy(
     return xp
 
 
-def scatter_add_rows_numpy(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+def scatter_add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     """table[ids[i]] += rows[i] with repeated ids accumulating. In place."""
     np.add.at(table, ids, rows)
 
 
-def _adam_scalars(dtype, lr, beta1, beta2, eps, bc1, bc2):
-    # Round every coefficient to the parameter dtype up front so the numpy
-    # and numba paths perform identical same-width arithmetic (bitwise).
-    dt = np.dtype(dtype).type
-    return (
-        dt(lr), dt(beta1), dt(beta2), dt(1.0 - beta1), dt(1.0 - beta2),
-        dt(eps), dt(bc1), dt(bc2),
-    )
-
-
-def adam_update_numpy(
+def adam_update(
     param: np.ndarray,
     grad: np.ndarray,
     m: np.ndarray,
@@ -114,10 +71,14 @@ def adam_update_numpy(
     bc1: float,
     bc2: float,
 ) -> None:
-    """One fused Adam step, in place.  bc1/bc2 are 1 - beta**t, precomputed."""
-    lr, b1, b2, omb1, omb2, eps, c1, c2 = _adam_scalars(
-        param.dtype, lr, beta1, beta2, eps, bc1, bc2
-    )
+    """One fused Adam step, in place.  bc1/bc2 are 1 - beta**t, precomputed.
+
+    Every coefficient is rounded to the parameter dtype first, so the whole
+    update runs in same-width arithmetic.
+    """
+    dt = param.dtype.type
+    lr, b1, b2, eps, c1, c2 = dt(lr), dt(beta1), dt(beta2), dt(eps), dt(bc1), dt(bc2)
+    omb1, omb2 = dt(1.0 - beta1), dt(1.0 - beta2)
     m *= b1
     m += omb1 * grad
     v *= b2
@@ -125,170 +86,3 @@ def adam_update_numpy(
     mhat = m / c1
     vhat = v / c2
     param -= lr * (mhat / (np.sqrt(vhat) + eps))
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same accumulation order as above)
-
-
-@njit(cache=True)
-def _im2col_jit(xp, cols, kh, kw, stride, oh, ow):  # pragma: no cover - jit
-    b, c = xp.shape[0], xp.shape[1]
-    for n in range(b):
-        for p in range(oh * ow):
-            r0 = (p // ow) * stride
-            c0 = (p % ow) * stride
-            k = 0
-            for ch in range(c):
-                for i in range(kh):
-                    for j in range(kw):
-                        cols[n, p, k] = xp[n, ch, r0 + i, c0 + j]
-                        k += 1
-
-
-def im2col_numba(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    b, c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = np.empty((b, oh * ow, c * kh * kw), dtype=x.dtype)
-    _im2col_jit(np.ascontiguousarray(xp), cols, kh, kw, stride, oh, ow)
-    return cols
-
-
-@njit(cache=True)
-def _col2im_jit(cols, xp, kh, kw, stride, oh, ow):  # pragma: no cover - jit
-    b, c = xp.shape[0], xp.shape[1]
-    for n in range(b):
-        for i in range(kh):
-            for j in range(kw):
-                for p in range(oh * ow):
-                    r0 = (p // ow) * stride
-                    c0 = (p % ow) * stride
-                    for ch in range(c):
-                        xp[n, ch, r0 + i, c0 + j] += cols[n, p, ch * kh * kw + i * kw + j]
-
-
-def col2im_numba(
-    cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, pad: int
-) -> np.ndarray:
-    b, c, h, w = x_shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    _col2im_jit(np.ascontiguousarray(cols), xp, kh, kw, stride, oh, ow)
-    if pad:
-        return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])
-    return xp
-
-
-@njit(cache=True)
-def _scatter_add_jit(table, ids, rows):  # pragma: no cover - jit
-    for i in range(ids.shape[0]):
-        t = ids[i]
-        for j in range(rows.shape[1]):
-            table[t, j] += rows[i, j]
-
-
-def scatter_add_rows_numba(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    flat_ids = np.ascontiguousarray(ids.reshape(-1).astype(np.int64))
-    flat_rows = np.ascontiguousarray(rows.reshape(-1, rows.shape[-1]))
-    _scatter_add_jit(table, flat_ids, flat_rows)
-
-
-@njit(cache=True)
-def _adam_jit(param, grad, m, v, lr, b1, b2, omb1, omb2, eps, c1, c2):  # pragma: no cover
-    for i in range(param.shape[0]):
-        g = grad[i]
-        m[i] = m[i] * b1 + omb1 * g
-        v[i] = v[i] * b2 + omb2 * (g * g)
-        mhat = m[i] / c1
-        vhat = v[i] / c2
-        param[i] -= lr * (mhat / (np.sqrt(vhat) + eps))
-
-
-def adam_update_numba(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2) -> None:
-    # reshape(-1) must alias the originals; fall back when it would copy.
-    if not (param.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
-        adam_update_numpy(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2)
-        return
-    lr, b1, b2, omb1, omb2, eps, c1, c2 = _adam_scalars(
-        param.dtype, lr, beta1, beta2, eps, bc1, bc2
-    )
-    _adam_jit(
-        param.reshape(-1),
-        np.ascontiguousarray(grad.reshape(-1)),
-        m.reshape(-1),
-        v.reshape(-1),
-        lr, b1, b2, omb1, omb2, eps, c1, c2,
-    )
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-_NUMPY_SET = {
-    "im2col": im2col_numpy,
-    "col2im": col2im_numpy,
-    "scatter_add_rows": scatter_add_rows_numpy,
-    "adam_update": adam_update_numpy,
-}
-_NUMBA_SET = {
-    "im2col": im2col_numba,
-    "col2im": col2im_numba,
-    "scatter_add_rows": scatter_add_rows_numba,
-    "adam_update": adam_update_numba,
-}
-
-_active_name = "numpy"
-_active = dict(_NUMPY_SET)
-
-
-def select_backend(name: str) -> str:
-    """Activate the "numpy" or "numba" kernel set.  Returns the active name."""
-    global _active_name
-    if name == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        _active.update(_NUMBA_SET)
-        _active_name = "numba"
-    elif name == "numpy":
-        _active.update(_NUMPY_SET)
-        _active_name = "numpy"
-    else:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    return _active_name
-
-
-def active_backend() -> str:
-    return _active_name
-
-
-def _backend_from_env() -> str:
-    flag = os.environ.get("VQAGPT_NUMBA", "")
-    if flag == "1":
-        if not HAS_NUMBA:
-            raise RuntimeError("VQAGPT_NUMBA=1 but numba is not installed")
-        return "numba"
-    if flag == "0":
-        return "numpy"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-select_backend(_backend_from_env())
-
-
-def im2col(x, kh, kw, stride, pad):
-    return _active["im2col"](x, kh, kw, stride, pad)
-
-
-def col2im(cols, x_shape, kh, kw, stride, pad):
-    return _active["col2im"](cols, x_shape, kh, kw, stride, pad)
-
-
-def scatter_add_rows(table, ids, rows):
-    return _active["scatter_add_rows"](table, ids, rows)
-
-
-def adam_update(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2):
-    return _active["adam_update"](param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2)

@@ -55,7 +55,6 @@ class ModelConfig:
     mlp_ratio: int = 4
     max_pos: int = 64
     num_classes: int = 11
-    dropout: float = 0.0
     sequencing: SequencingConfig = field(default_factory=SequencingConfig)
     tokenizer: VisionTokenizerConfig = field(default_factory=VisionTokenizerConfig)
     vocab_size: int = 2
@@ -65,8 +64,6 @@ class ModelConfig:
             raise ConfigError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.dropout != 0.0:
-            raise ConfigError("nonzero dropout is not implemented; set dropout = 0")
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must cover at least PAD and UNK")
         self.sequencing.validate()
@@ -132,13 +129,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> VQAModel:
     d = config.d
     hidden = config.mlp_ratio * d
     tables = init_embedding_tables(
-        config.vocab_size,
-        d,
-        config.max_pos,
-        config.tokenizer.token_dim,
-        config.sequencing.use_vision_projection_path,
-        rng,
-        dtype,
+        config.vocab_size, d, config.max_pos, config.tokenizer.token_dim, rng, dtype
     )
     params: dict = {
         "emb.word": tables.word_table,
@@ -173,7 +164,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> VQAModel:
 
 
 def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Tensor:
-    """Run the block stack; returns hidden states shaped like seq.embedded.
+    """Run the block stack over (B, L, d) rows; returns (B, L, d) hidden states.
 
     key_pad, when given, is a boolean (B, L) array marking padding
     positions whose keys every query must ignore; queries at those
@@ -182,9 +173,8 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Ten
     cfg = model.config
     p = model.params
     x = seq.embedded
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = ad.reshape(x, (1,) + tuple(x.shape))
+    if x.ndim != 3:
+        raise ValueError(f"decoder_forward expects (B, L, d) rows, got shape {x.shape}")
     bsz, length, d = x.shape
     if length > cfg.seq_len_limit:
         raise ValueError(f"sequence length {length} exceeds limit {cfg.seq_len_limit}")
@@ -194,8 +184,6 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Ten
     mask_data = np.triu(np.full((length, length), MASK_VALUE, dtype=x.dtype), k=1)
     if key_pad is not None:
         key_pad = np.asarray(key_pad, dtype=bool)
-        if key_pad.ndim == 1:
-            key_pad = key_pad[None, :]
         if key_pad.shape != (bsz, length):
             raise ValueError(
                 f"key_pad shape {key_pad.shape} does not match batch {(bsz, length)}"
@@ -220,10 +208,7 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Ten
         h2 = ad.layer_norm(x, p[f"h{i}.ln2_g"], p[f"h{i}.ln2_b"])
         mid = ad.gelu(ad.add(ad.matmul(h2, p[f"h{i}.mlp_in_w"]), p[f"h{i}.mlp_in_b"]))
         x = ad.add(x, ad.add(ad.matmul(mid, p[f"h{i}.mlp_out_w"]), p[f"h{i}.mlp_out_b"]))
-    x = ad.layer_norm(x, p["lnf_g"], p["lnf_b"])
-    if squeeze:
-        x = ad.reshape(x, tuple(x.shape[1:]))
-    return x
+    return ad.layer_norm(x, p["lnf_g"], p["lnf_b"])
 
 
 def _readout_weights(seq: TokenSequence, batch: int, key_pad=None) -> np.ndarray:
@@ -238,7 +223,7 @@ def _readout_weights(seq: TokenSequence, batch: int, key_pad=None) -> np.ndarray
     keep = np.zeros((batch, seq.length), dtype=bool)
     keep[:, start:] = True
     if key_pad is not None:
-        keep &= ~np.atleast_2d(np.asarray(key_pad, dtype=bool))
+        keep &= ~np.asarray(key_pad, dtype=bool)
     count = keep.sum(axis=1, keepdims=True)
     if np.any(count == 0):
         raise ValueError("the readout segment holds only padding positions")
@@ -254,18 +239,12 @@ def classify(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Tensor:
     if seq.length == 0:
         raise ValueError("cannot classify an empty sequence")
     h = decoder_forward(seq, model, key_pad=key_pad)
-    squeeze = h.ndim == 2
-    if squeeze:
-        h = ad.reshape(h, (1,) + tuple(h.shape))
     bsz, _, d = h.shape
     weights = _readout_weights(seq, bsz, key_pad).astype(h.dtype)
     pooled = ad.reshape(ad.matmul(ad.Tensor(weights[:, None, :]), h), (bsz, d))
     p = model.params
     mid = ad.gelu(ad.add(ad.matmul(pooled, p["head.fc1_w"]), p["head.fc1_b"]))
-    out = ad.add(ad.matmul(mid, p["head.fc2_w"]), p["head.fc2_b"])
-    if squeeze:
-        out = ad.reshape(out, (model.config.num_classes,))
-    return out
+    return ad.add(ad.matmul(mid, p["head.fc2_w"]), p["head.fc2_b"])
 
 
 def build_sequence(images: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> TokenSequence:
@@ -273,16 +252,13 @@ def build_sequence(images: np.ndarray, question_ids: np.ndarray, model: VQAModel
     cfg = model.config
     vision_raw = encode_images(images, cfg.tokenizer, model.tok_params)
     words_e = embed_words(question_ids, model.tables, cfg.sequencing)
-    vision_e = embed_vision(
-        vision_raw, model.tables, cfg.sequencing, word_count=question_ids.shape[-1]
-    )
+    vision_e = embed_vision(vision_raw, model.tables, cfg.sequencing)
     return sequence(words_e, vision_e, cfg.sequencing)
 
 
 def _padding_keys(question_ids: np.ndarray, model: VQAModel) -> np.ndarray:
     """Boolean (B, L) marker of PAD word positions in sequence order."""
-    qids = np.atleast_2d(np.asarray(question_ids))
-    word_pad = qids == PAD_ID
+    word_pad = np.asarray(question_ids) == PAD_ID
     vision = np.zeros(
         (word_pad.shape[0], model.config.tokenizer.n_tokens), dtype=bool
     )
@@ -294,13 +270,6 @@ def _padding_keys(question_ids: np.ndarray, model: VQAModel) -> np.ndarray:
 def forward_logits(images: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> ad.Tensor:
     seq = build_sequence(images, question_ids, model)
     return classify(seq, model, key_pad=_padding_keys(question_ids, model))
-
-
-def predict(images: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> np.ndarray:
-    """Argmax class per sample; ties resolve to the lowest class index."""
-    with ad.no_grad():
-        logits = forward_logits(images, question_ids, model)
-    return np.argmax(logits.data, axis=-1)  # np.argmax returns the first maximum
 
 
 def train_step(batch, model: VQAModel, opt: ad.AdamState) -> float:

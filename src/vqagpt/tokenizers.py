@@ -136,14 +136,6 @@ class VisionTokenizerConfig:
         return self.patch_grid * self.patch_grid
 
 
-@dataclass
-class VisionTokens:
-    """g*g raw vision tokens for one image, row-major over the patch grid."""
-
-    tokens: ad.Tensor  # (g*g, token_dim)
-    source_grid: int
-
-
 _CNN_STEM_CH = 16
 _CNN_BANK_CH = 8  # 3 color + 4 edge orientations + 1 laplacian
 
@@ -276,12 +268,3 @@ def encode_images(imgs: np.ndarray, cfg: VisionTokenizerConfig, params: dict) ->
     if cfg.vit_internal_pose:
         tokens = ad.add(tokens, params["pose"])  # broadcasts over the batch
     return tokens
-
-
-def tokenize_image(img: np.ndarray, cfg: VisionTokenizerConfig, params: dict) -> VisionTokens:
-    """Single-image wrapper over ``encode_images`` returning VisionTokens."""
-    img = np.asarray(img)
-    if img.ndim != 3:
-        raise DataError(f"expected one (H, W, 3) image, got shape {img.shape}")
-    batch = encode_images(img[None], cfg, params)
-    return VisionTokens(tokens=batch[0], source_grid=cfg.patch_grid)

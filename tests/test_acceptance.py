@@ -220,7 +220,7 @@ def test_3_embedding_sum_suite(capfd):
     rng = np.random.default_rng(23)
     d, vocab_size, max_pos, m = 6, 9, 12, 4
     tables = init_embedding_tables(
-        vocab_size, d, max_pos, token_dim=d, use_projection_path=True,
+        vocab_size, d, max_pos, token_dim=d,
         rng=rng, dtype=np.float64,
     )
     wt = tables.word_table.data
@@ -236,36 +236,31 @@ def test_3_embedding_sum_suite(capfd):
     assert np.array_equal(words, expect)
 
     vis = np.asarray(rng.standard_normal((m, d)))
-    zero_rows = embed_vision(ad.Tensor(vis), tables, cfg_zero, word_count=3).data
+    zero_rows = embed_vision(ad.Tensor(vis), tables, cfg_zero).data
     expect_zero = np.stack([(tt[1] + pt[0]) + vis[j] for j in range(m)])
     assert np.array_equal(zero_rows, expect_zero)
     # zero mode: positional addend is row 0 for every vision token -> variance 0
     addends = np.stack([pt[0]] * m)
     assert float(np.var(addends, axis=0).max()) == 0.0
 
-    actual_rows = embed_vision(ad.Tensor(vis), tables, cfg_actual, word_count=3).data
+    actual_rows = embed_vision(ad.Tensor(vis), tables, cfg_actual).data
     expect_actual = np.stack([(tt[1] + pt[1 + j]) + vis[j] for j in range(m)])
     assert np.array_equal(actual_rows, expect_actual)
 
     # projection path active iff token width != embedding width
     assert tables.proj_w is None and tables.proj_b is None
     wide = init_embedding_tables(
-        vocab_size, d, max_pos, token_dim=10, use_projection_path=True,
+        vocab_size, d, max_pos, token_dim=10,
         rng=np.random.default_rng(24), dtype=np.float64,
     )
     assert wide.proj_w is not None and wide.proj_b is not None
     vis10 = np.asarray(rng.standard_normal((m, 10)))
-    proj_rows = embed_vision(ad.Tensor(vis10), wide, cfg_actual, word_count=3).data
+    proj_rows = embed_vision(ad.Tensor(vis10), wide, cfg_actual).data
     vx = vis10 @ wide.proj_w.data + wide.proj_b.data
     expect_proj = np.stack(
         [(wide.type_table.data[1] + wide.pos_table.data[1 + j]) + vx[j] for j in range(m)]
     )
     assert np.array_equal(proj_rows, expect_proj)
-    with pytest.raises(ConfigError):
-        init_embedding_tables(
-            vocab_size, d, max_pos, token_dim=10, use_projection_path=False,
-            rng=np.random.default_rng(25), dtype=np.float64,
-        )
     _verdict(
         capfd,
         3,

@@ -1,6 +1,7 @@
 """Config grammar, profiles, and the train/eval/ablate/gen-data pipeline."""
 
 import csv
+import json
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -44,6 +45,62 @@ def test_parse_serialize_parse_is_fixed_point():
     again = parse_config(text)
     assert again == cfg
     assert serialize_config(again) == text
+
+
+# The config block the desk profile wrote into every checkpoint before the
+# retired keys "dropout" and "use_vision_projection_path" were removed.
+OLD_DESK_CONFIG_TEXT = """\
+# run configuration (key = value)
+d = 64
+n_layers = 2
+n_heads = 4
+mlp_ratio = 4
+max_pos = 64
+num_classes = 11
+dropout = 0.0
+order = early_word
+vision_pose_mode = actual
+use_type_embedding = true
+use_vision_projection_path = true
+vision_backend = cnn_lite
+image_size = 32
+patch_grid = 2
+token_dim = 64
+vit_internal_pose = false
+lr = 0.0004
+beta1 = 0.9
+beta2 = 0.95
+eps = 1e-08
+epochs = 10
+batch_size = 4
+seed = 0
+precision = f32
+max_question_len = 12
+min_word_count = 1
+rephrased_holdout = false
+n_samples = 2000
+grid_size = 2
+templates_per_type = 3
+test_fraction = 0.2
+data_dir = data
+out_dir = runs/out
+"""
+
+
+def test_parse_accepts_retired_keys_of_older_checkpoints():
+    desk = apply_profile(RunConfig(), "desk")
+    assert parse_config(OLD_DESK_CONFIG_TEXT) == desk
+    off = OLD_DESK_CONFIG_TEXT.replace(
+        "use_vision_projection_path = true", "use_vision_projection_path = false"
+    )
+    assert parse_config(off) == desk
+    text = serialize_config(desk)
+    assert "dropout" not in text and "use_vision_projection_path" not in text
+    assert parse_config(text) == desk
+    assert serialize_config(parse_config(text)) == text
+    # a value the older code could not train with is still an error
+    with pytest.raises(ConfigError, match="dropout"):
+        parse_config(OLD_DESK_CONFIG_TEXT.replace("dropout = 0.0", "dropout = 0.1"))
 
 
 def test_parse_applies_onto_base_and_ignores_comments():
@@ -270,12 +327,25 @@ def test_rephrased_holdout_training_and_eval(mini_corpus, tmp_path, capsys):
 
 def test_exit_code_2_on_config_error(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("no_such_key = 1\n")
-    assert main(["train", "--config", str(bad)]) == 2
+    for text in ("no_such_key = 1\n", "dropout = 0.1\n"):
+        bad.write_text(text)
+        assert main(["train", "--config", str(bad)]) == 2
 
 
-def test_exit_code_3_on_data_error(tmp_path):
+def test_exit_code_3_on_data_error(mini_corpus, tmp_path):
     cfg = mini_run_config(tmp_path / "missing", tmp_path / "out")
+    cfg_path = write_config(tmp_path / "c.cfg", cfg)
+    assert main(["train", "--config", cfg_path]) == 3
+    # early_vision pools the question positions, so a question that
+    # tokenizes to all padding must be stopped when the data loads
+    data = tmp_path / "data"
+    shutil.copytree(mini_corpus["root"], data)
+    manifest = data / "train.jsonl"
+    lines = manifest.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["question"] = "?? !"
+    manifest.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    cfg = mini_run_config(data, tmp_path / "out", order="early_vision")
     cfg_path = write_config(tmp_path / "c.cfg", cfg)
     assert main(["train", "--config", cfg_path]) == 3
 

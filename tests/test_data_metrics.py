@@ -198,6 +198,13 @@ def test_loader_reports_line_numbers(tmp_path):
     with pytest.raises(DataError, match="question"):
         load_dataset(man)
 
+    # punctuation only: no word survives tokenization, so the question
+    # would reach the model as all padding
+    wordless = dict(rec, question="?? !")
+    man = write_manifest(tmp_path, [json.dumps(rec), json.dumps(wordless)])
+    with pytest.raises(DataError, match=r":2: question has no words"):
+        load_dataset(man)
+
     bad_template = dict(rec, template=-1)
     man = write_manifest(tmp_path, [json.dumps(bad_template)])
     with pytest.raises(DataError, match="template"):

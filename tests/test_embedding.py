@@ -25,9 +25,7 @@ import vqagpt.autodiff as ad
 def make_tables(vocab=7, d=6, max_pos=9, token_dim=None, seed=0, dtype=np.float64):
     token_dim = d if token_dim is None else token_dim
     return init_embedding_tables(
-        vocab, d, max_pos, token_dim,
-        use_projection_path=(token_dim != d),
-        rng=np.random.default_rng(seed), dtype=dtype,
+        vocab, d, max_pos, token_dim, rng=np.random.default_rng(seed), dtype=dtype
     )
 
 
@@ -36,7 +34,6 @@ def seq_cfg(**kw):
         order="early_word",
         vision_pose_mode="zero",
         use_type_embedding=True,
-        use_vision_projection_path=False,
     )
     base.update(kw)
     return SequencingConfig(**base)
@@ -101,7 +98,7 @@ def vision_rows(t, m, token_dim=None, seed=5, dtype=np.float64):
 def test_zero_pose_residual_is_constant_pos_row_zero():
     t = make_tables(seed=3)
     vt = vision_rows(t, 4)
-    out = embed_vision(vt, t, seq_cfg(vision_pose_mode="zero"), word_count=2).data
+    out = embed_vision(vt, t, seq_cfg(vision_pose_mode="zero")).data
     # every position gets the same addend vector: row 0 of the pose table
     addend = (t.type_table.data[VISION_TYPE] + t.pos_table.data[0])
     for j in range(4):
@@ -116,7 +113,7 @@ def test_zero_pose_spread_exactly_zero_on_dyadic_values():
     for arr in (t.type_table.data, t.pos_table.data):
         arr[...] = rng.integers(-8, 9, arr.shape) / 8.0
     vt = ad.Tensor(rng.integers(-8, 9, (4, t.d)) / 8.0)
-    out = embed_vision(vt, t, seq_cfg(vision_pose_mode="zero"), word_count=2).data
+    out = embed_vision(vt, t, seq_cfg(vision_pose_mode="zero")).data
     spread = out - vt.data
     assert np.array_equal(spread.max(axis=0), spread.min(axis=0))
 
@@ -127,17 +124,18 @@ def test_actual_pose_uses_rows_one_through_m():
     t.type_table.data[...] = np.arange(t.type_table.data.size).reshape(2, -1)
     t.pos_table.data[...] = 10.0 * np.arange(t.pos_table.data.shape[0])[:, None]
     vt = ad.Tensor(np.zeros((3, t.d)))
-    out = embed_vision(vt, t, seq_cfg(vision_pose_mode="actual"), word_count=5).data
+    out = embed_vision(vt, t, seq_cfg(vision_pose_mode="actual")).data
     expected = t.type_table.data[VISION_TYPE] + t.pos_table.data[1:4]
     assert np.array_equal(out, expected)
 
 
 def test_actual_pose_ignores_word_count_offset():
-    # restart-at-1 policy: pose rows depend on m alone, never on word_count
+    # restart-at-1 policy: pose rows depend on m alone, never on the word count
     t = make_tables(seed=6)
-    vt = vision_rows(t, 3)
-    a = embed_vision(vt, t, seq_cfg(vision_pose_mode="actual"), word_count=2).data
-    b = embed_vision(vt, t, seq_cfg(vision_pose_mode="actual"), word_count=7).data
+    cfg = seq_cfg(vision_pose_mode="actual")
+    v = embed_vision(vision_rows(t, 3), t, cfg)
+    a = sequence(embed_words(np.arange(2), t, cfg), v, cfg).embedded.data[2:]
+    b = sequence(embed_words(np.arange(7), t, cfg), v, cfg).embedded.data[7:]
     assert np.array_equal(a, b)
 
 
@@ -145,7 +143,7 @@ def test_actual_pose_ignores_word_count_offset():
 def test_embed_vision_matches_bitwise_recomputation(dtype):
     t = make_tables(seed=7, dtype=dtype)
     vt = vision_rows(t, 4, dtype=dtype)
-    out = embed_vision(vt, t, seq_cfg(vision_pose_mode="actual"), word_count=1).data
+    out = embed_vision(vt, t, seq_cfg(vision_pose_mode="actual")).data
     expected = (t.type_table.data[VISION_TYPE] + t.pos_table.data[1:5]) + vt.data
     assert out.dtype == dtype
     assert np.array_equal(out, expected)
@@ -156,11 +154,6 @@ def test_projection_present_iff_dims_differ():
     assert matched.proj_w is None and matched.proj_b is None
     projected = make_tables(d=6, token_dim=10)
     assert projected.proj_w is not None and projected.proj_w.shape == (10, 6)
-    with pytest.raises(ConfigError, match="projection"):
-        init_embedding_tables(
-            7, 6, 9, token_dim=10, use_projection_path=False,
-            rng=np.random.default_rng(0), dtype=np.float64,
-        )
 
 
 def test_identity_padded_projection_reproduces_leading_coordinates():
@@ -171,7 +164,7 @@ def test_identity_padded_projection_reproduces_leading_coordinates():
     t.type_table.data[...] = 0.0
     t.pos_table.data[...] = 0.0
     vt = vision_rows(t, 3, token_dim=5)
-    out = embed_vision(vt, t, seq_cfg(), word_count=0).data
+    out = embed_vision(vt, t, seq_cfg()).data
     assert np.array_equal(out[:, :5], vt.data)
     assert np.all(out[:, 5:] == 0.0)
 
@@ -180,24 +173,23 @@ def test_missing_projection_on_mismatch_errors():
     t = make_tables(d=6, token_dim=6)
     vt = vision_rows(t, 2, token_dim=9)
     with pytest.raises(ConfigError, match="projection"):
-        embed_vision(vt, t, seq_cfg(), word_count=0)
+        embed_vision(vt, t, seq_cfg())
 
 
 def test_vision_pose_overflow_errors():
     t = make_tables(max_pos=3)
     vt = vision_rows(t, 3)  # actual mode needs rows 1..3, table has 0..2
     with pytest.raises(ValueError, match="overflow"):
-        embed_vision(vt, t, seq_cfg(vision_pose_mode="actual"), word_count=1)
+        embed_vision(vt, t, seq_cfg(vision_pose_mode="actual"))
     with pytest.raises(ValueError, match="overflow"):
-        embed_vision(vision_rows(t, 1), t, seq_cfg(), word_count=4)
+        # a 4-word question overflows the 3-row table before vision is embedded
+        embed_words(np.zeros(4, dtype=np.int64), t, seq_cfg())
 
 
 def test_vision_type_toggle_drops_one_addend():
     t = make_tables(seed=9)
     vt = vision_rows(t, 2)
-    out = embed_vision(
-        vt, t, seq_cfg(vision_pose_mode="zero", use_type_embedding=False), word_count=0
-    ).data
+    out = embed_vision(vt, t, seq_cfg(vision_pose_mode="zero", use_type_embedding=False)).data
     expected = t.pos_table.data[np.zeros(2, dtype=int)] + vt.data
     assert np.array_equal(out, expected)
 
@@ -208,7 +200,7 @@ def test_vision_type_toggle_drops_one_addend():
 
 def embedded_pair(t, n=2, m=3):
     w = embed_words(np.arange(n), t, seq_cfg())
-    v = embed_vision(vision_rows(t, m), t, seq_cfg(), word_count=n)
+    v = embed_vision(vision_rows(t, m), t, seq_cfg())
     return w, v
 
 

@@ -16,7 +16,6 @@ from vqagpt.model import (
     forward_logits,
     init_params,
     load_checkpoint,
-    predict,
     restore_model,
     save_checkpoint,
     train_step,
@@ -39,7 +38,6 @@ def small_config(**kw):
             order="early_word",
             vision_pose_mode="actual",
             use_type_embedding=True,
-            use_vision_projection_path=False,
         ),
         tokenizer=VisionTokenizerConfig(
             backend="vit_lite", image_size=8, patch_grid=2, token_dim=8
@@ -50,7 +48,8 @@ def small_config(**kw):
 
 
 def raw_sequence(rng, length, d, dtype=np.float64):
-    emb = Tensor(rng.standard_normal((length, d)).astype(dtype), requires_grad=True)
+    # one sample: (1, length, d)
+    emb = Tensor(rng.standard_normal((1, length, d)).astype(dtype), requires_grad=True)
     tags = np.array([WORD_TYPE] * length, dtype=np.int8)
     return TokenSequence(embedded=emb, modality=tags)
 
@@ -94,7 +93,6 @@ def test_param_count_matches_hand_count():
             order="early_word",
             vision_pose_mode="actual",
             use_type_embedding=True,
-            use_vision_projection_path=True,
         ),
         tokenizer=VisionTokenizerConfig(
             backend="vit_lite",
@@ -127,8 +125,6 @@ def test_config_validation_errors():
         small_config(d=9).validate()
     with pytest.raises(ConfigError, match="num_classes"):
         small_config(num_classes=1).validate()
-    with pytest.raises(ConfigError, match="dropout"):
-        small_config(dropout=0.1).validate()
     with pytest.raises(ConfigError, match="vocab_size"):
         small_config(vocab_size=1).validate()
     small_config().validate()
@@ -145,10 +141,10 @@ def test_single_token_attention_is_value_projection():
     m = init_params(cfg, seed=1, dtype=np.float64)
     rng = np.random.default_rng(2)
     seq = raw_sequence(rng, 1, cfg.d)
-    got = decoder_forward(seq, m).data
+    got = decoder_forward(seq, m).data[0]
 
     p = {k: v.data for k, v in m.params.items()}
-    x = seq.embedded.data
+    x = seq.embedded.data[0]
     h = layer_norm_ref(x, p["h0.ln1_g"], p["h0.ln1_b"])
     qkv = h @ p["h0.qkv_w"] + p["h0.qkv_b"]
     v = qkv[:, 2 * cfg.d :]  # attention over one token returns v unchanged
@@ -165,17 +161,17 @@ def test_causal_mask_blocks_future_positions_exactly():
     m = init_params(cfg, seed=5, dtype=np.float64)
     rng = np.random.default_rng(6)
     base = rng.standard_normal((7, cfg.d))
-    out_a = decoder_forward(raw_sequence_from(base), m).data
+    out_a = decoder_forward(raw_sequence_from(base), m).data[0]
     for j in (1, 4, 6):
         bumped = base.copy()
         bumped[j] += rng.standard_normal(cfg.d)
-        out_b = decoder_forward(raw_sequence_from(bumped), m).data
+        out_b = decoder_forward(raw_sequence_from(bumped), m).data[0]
         assert np.array_equal(out_a[:j], out_b[:j])  # |delta| = 0, not just small
         assert not np.array_equal(out_a[j], out_b[j])
 
 
 def raw_sequence_from(arr):
-    emb = Tensor(np.asarray(arr, dtype=np.float64))
+    emb = Tensor(np.asarray(arr, dtype=np.float64)[None])
     return TokenSequence(
         embedded=emb, modality=np.zeros(arr.shape[0], dtype=np.int8)
     )
@@ -210,7 +206,7 @@ def test_logits_length_follows_num_classes():
     cfg = small_config(num_classes=18)
     m = init_params(cfg, seed=10, dtype=np.float64)
     rng = np.random.default_rng(11)
-    logits = classify(raw_sequence(rng, 3, cfg.d), m)
+    logits = classify(raw_sequence(rng, 3, cfg.d), m)[0]
     assert logits.shape == (18,)
     assert np.all(np.isfinite(logits.data))
     probs = softmax_reference(logits.data)
@@ -227,7 +223,6 @@ def test_readout_position_modality_per_order():
                 order=order,
                 vision_pose_mode="actual",
                 use_type_embedding=True,
-                use_vision_projection_path=False,
             )
         )
         m = init_params(cfg, seed=13, dtype=np.float64)
@@ -244,7 +239,6 @@ def test_early_vision_logits_ignore_padding_positions():
             order="early_vision",
             vision_pose_mode="actual",
             use_type_embedding=True,
-            use_vision_projection_path=False,
         )
     )
     m = init_params(cfg, seed=26, dtype=np.float64)
@@ -283,7 +277,9 @@ def test_argmax_ties_break_toward_lowest_class():
     rng = np.random.default_rng(15)
     imgs = rng.random((3, 8, 8, 3))
     qids = np.array([[2, 3], [4, 5], [6, 7]])
-    assert predict(imgs, qids, m).tolist() == [0, 0, 0]
+    with ad.no_grad():
+        logits = forward_logits(imgs, qids, m).data
+    assert np.argmax(logits, axis=-1).tolist() == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from vqagpt.tokenizers import (
     build_vocab,
     encode_images,
     init_tokenizer_params,
-    tokenize_image,
     tokenize_question,
 )
 
@@ -138,11 +137,10 @@ def test_token_count_is_grid_squared_and_deterministic(cfg):
     rng = np.random.default_rng(0)
     params = init_tokenizer_params(cfg, np.random.default_rng(1), np.float64)
     img = rand_image(rng, cfg.image_size)
-    a = tokenize_image(img, cfg, params)
-    b = tokenize_image(img.copy(), cfg, params)
-    assert a.tokens.shape == (cfg.patch_grid**2, cfg.token_dim)
-    assert a.source_grid == cfg.patch_grid
-    assert np.array_equal(a.tokens.data, b.tokens.data)
+    a = encode_images(img[None], cfg, params)[0]
+    b = encode_images(img.copy()[None], cfg, params)[0]
+    assert a.shape == (cfg.patch_grid**2, cfg.token_dim)
+    assert np.array_equal(a.data, b.data)
 
 
 def test_init_params_seeded_determinism():
@@ -162,8 +160,8 @@ def test_vit_zero_init_gives_zero_tokens():
     for t in params.values():
         t.data[...] = 0.0
     img = rand_image(np.random.default_rng(2), cfg.image_size)
-    out = tokenize_image(img, cfg, params)
-    assert np.all(out.tokens.data == 0.0)
+    out = encode_images(img[None], cfg, params)[0]
+    assert np.all(out.data == 0.0)
 
 
 def test_vit_internal_pose_changes_swapped_token_multiset():
@@ -172,8 +170,8 @@ def test_vit_internal_pose_changes_swapped_token_multiset():
     rng = np.random.default_rng(4)
     img = rand_image(rng, cfg.image_size)
     swapped = permute_patches(img, cfg.patch_grid, [1, 0, 2, 3])
-    tok_a = tokenize_image(img, cfg, params).tokens.data
-    tok_b = tokenize_image(swapped, cfg, params).tokens.data
+    tok_a = encode_images(img[None], cfg, params)[0].data
+    tok_b = encode_images(swapped[None], cfg, params)[0].data
     sort = lambda m: m[np.lexsort(m.T[::-1])]
     assert not np.allclose(sort(tok_a), sort(tok_b))
 
@@ -183,11 +181,11 @@ def test_vit_pose_off_is_patch_permutation_equivariant():
     params = init_tokenizer_params(cfg, np.random.default_rng(5), np.float64)
     rng = np.random.default_rng(6)
     img = rand_image(rng, cfg.image_size)
-    base = tokenize_image(img, cfg, params).tokens.data
+    base = encode_images(img[None], cfg, params)[0].data
     for _ in range(5):
         perm = rng.permutation(cfg.patch_grid**2)
         shuffled = permute_patches(img, cfg.patch_grid, perm)
-        got = tokenize_image(shuffled, cfg, params).tokens.data
+        got = encode_images(shuffled[None], cfg, params)[0].data
         assert np.allclose(got, base[perm], atol=1e-12, rtol=0)
 
 
@@ -198,7 +196,7 @@ def test_encode_images_batch_matches_single():
         imgs = np.stack([rand_image(rng, cfg.image_size) for _ in range(3)])
         batch = encode_images(imgs, cfg, params).data
         for i in range(3):
-            single = tokenize_image(imgs[i], cfg, params).tokens.data
+            single = encode_images(imgs[i][None], cfg, params)[0].data
             assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
 
 
@@ -206,8 +204,8 @@ def test_encode_images_casts_to_param_dtype():
     cfg = vit_cfg()
     params = init_tokenizer_params(cfg, np.random.default_rng(11), np.float32)
     img = rand_image(np.random.default_rng(12), cfg.image_size)  # float64 in
-    out = tokenize_image(img, cfg, params)
-    assert out.tokens.data.dtype == np.float32
+    out = encode_images(img[None], cfg, params)[0]
+    assert out.data.dtype == np.float32
 
 
 def test_wrong_image_size_errors():
@@ -215,9 +213,9 @@ def test_wrong_image_size_errors():
     params = init_tokenizer_params(cfg, np.random.default_rng(0), np.float32)
     bad = np.zeros((8, 8, 3))
     with pytest.raises(DataError, match="16"):
-        tokenize_image(bad, cfg, params)
+        encode_images(bad[None], cfg, params)
     with pytest.raises(DataError):
-        tokenize_image(np.zeros((16, 16)), cfg, params)
+        encode_images(np.zeros((16, 16))[None], cfg, params)
 
 
 def test_config_validation_errors():
