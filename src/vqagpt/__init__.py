@@ -2,7 +2,8 @@
 
 The package is layered bottom-up:
 
-    kernels     numpy hot loops (im2col, col2im, row scatter, fused Adam)
+    kernels     numpy hot loops (channels-last conv patch gather im2col and
+                its adjoint col2im, row scatter, fused Adam)
     autodiff    reverse-mode Tensor engine + Adam
     tokenizers  word vocabulary, cnn_lite / vit_lite vision tokenizers
     embedding   type + pose + token embedding, token sequencing

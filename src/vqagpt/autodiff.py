@@ -394,31 +394,62 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution via im2col + one matmul.
+    """2-D cross-correlation as a channels-last patch gather and a GEMM.
 
-    x: (B, C_in, H, W), w: (C_out, C_in, kh, kw), b: (C_out,).
+    x: (B, C_in, H, W), w: (C_out, C_in, kh, kw), b: (C_out,); the output is
+    (B, C_out, OH, OW).  ``kernels.im2col`` gathers the (B*OH*OW, kh*kw*C_in)
+    patch rows of the channels-last input, and one batched matmul meets them
+    with the weight permuted to (C_out, kh, kw, C_in).  The output is an NCHW
+    view of the channels-last result, so a following conv gathers from it
+    without a transpose copy.
+
+    Backward: the bias and weight gradients are one reduction each over all
+    B*OH*OW rows.  Where windows overlap (kernel > stride), the input
+    gradient is the transposed convolution: the gather of the stride-dilated,
+    padded output gradient against the flipped weight.  Where they do not,
+    it is the output gradient's rows times the weight, put back by
+    ``kernels.col2im`` as a block copy.
     """
     bsz, c_in, h, wi = x.data.shape
     c_out, c_in2, kh, kw = w.data.shape
     if c_in != c_in2:
         raise ValueError(f"conv2d channel mismatch: input {c_in}, weight {c_in2}")
-    cols = kernels.im2col(x.data, kh, kw, stride, pad)  # (B, P, C*kh*kw)
-    wmat = w.data.reshape(c_out, -1).T  # (C*kh*kw, C_out)
+    x_nhwc = x.data.transpose(0, 2, 3, 1)
+    cols = kernels.im2col(x_nhwc, kh, kw, stride, pad)  # (B*OH*OW, kh*kw*C_in)
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(c_out, -1)  # (C_out, kh*kw*C_in)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wi + 2 * pad - kw) // stride + 1
-    out = np.matmul(cols, wmat) + b.data  # (B, P, C_out)
-    out = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(bsz, c_out, oh, ow)
+    # One GEMM per sample, not one over all B*OH*OW rows: BLAS takes another
+    # kernel for small products (the grid conv at batch 4 has 16 rows), so
+    # folding the batch would make a sample's output depend on its batch.
+    out = np.matmul(cols.reshape(bsz, oh * ow, -1), wmat.T)
+    out += b.data
+    out = out.reshape(bsz, oh, ow, c_out).transpose(0, 3, 1, 2)
 
     def backward_fn(g):
-        gmat = np.ascontiguousarray(g.reshape(bsz, c_out, oh * ow).transpose(0, 2, 1))
+        gmat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)  # (B*OH*OW, C_out)
         if b.requires_grad:
-            _accum(b, gmat.sum(axis=(0, 1)))
+            _accum(b, gmat.sum(axis=0))
         if w.requires_grad:
-            gw = np.matmul(cols.transpose(0, 2, 1), gmat).sum(axis=0)  # (C*kh*kw, C_out)
-            _accum(w, gw.T.reshape(w.data.shape))
-        if x.requires_grad:
-            dcols = np.matmul(gmat, wmat.T)
-            _accum(x, kernels.col2im(dcols, x.data.shape, kh, kw, stride, pad))
+            gw = np.matmul(gmat.T, cols).reshape(c_out, kh, kw, c_in)
+            _accum(w, gw.transpose(0, 3, 1, 2))
+        if not x.requires_grad:
+            return
+        if kh <= stride and kw <= stride:
+            dx = kernels.col2im(np.matmul(gmat, wmat), x_nhwc.shape, kh, kw, stride, pad)
+        else:
+            # Output pixel (oy, ox) reads padded input rows oy*stride + i, so
+            # its gradient lands at kh-1 + oy*stride in a frame kh-1 rows
+            # above the padded input; the crop keeps rows that hit x itself.
+            hp, wp = h + 2 * pad, wi + 2 * pad
+            gd = np.zeros((bsz, hp + kh - 1, wp + kw - 1, c_out), dtype=g.dtype)
+            gd[:, kh - 1 : kh - 1 + stride * oh : stride,
+               kw - 1 : kw - 1 + stride * ow : stride] = g.transpose(0, 2, 3, 1)
+            gd = gd[:, pad : pad + h + kh - 1, pad : pad + wi + kw - 1]
+            wflip = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
+            dx = np.matmul(kernels.im2col(gd, kh, kw, 1, 0), wflip)
+            dx = dx.reshape(bsz, h, wi, c_in)
+        _accum(x, dx.transpose(0, 3, 1, 2))
 
     return _make(out, (x, w, b), backward_fn)
 

@@ -45,6 +45,8 @@ CHECKPOINT_NAME = "model.ckpt"
 METRICS_CSV = "metrics.csv"
 EVAL_CSV = "eval.csv"
 ABLATION_CSV = "ablation.csv"
+# Samples per forward pass in evaluation, whatever the training batch.
+EVAL_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -98,19 +100,22 @@ def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
 
 
 def _evaluate_arrays(model, cfg: RunConfig, images, qids, labels, types):
-    """Mean loss + MetricsReport over the arrays, batched, no grad recorded."""
-    n = len(labels)
-    preds = np.empty(n, dtype=np.int64)
-    total_loss = 0.0
+    """Mean loss + MetricsReport over the arrays, no grad recorded.
+
+    The forward passes run in ``EVAL_CHUNK``-sample chunks, not at
+    ``cfg.batch_size``.  The loss is taken once over all logits, so as
+    long as a sample's logits do not depend on the other samples in its
+    chunk, the result does not depend on the chunk size.
+    """
     with ad.no_grad():
-        for lo in range(0, n, cfg.batch_size):
-            sl = slice(lo, min(lo + cfg.batch_size, n))
-            logits = forward_logits(images[sl], qids[sl], model)
-            loss = ad.cross_entropy(logits, labels[sl])
-            total_loss += float(loss.data) * (sl.stop - sl.start)
-            preds[sl] = np.argmax(logits.data, axis=-1)
+        logits = np.concatenate([
+            forward_logits(images[lo : lo + EVAL_CHUNK], qids[lo : lo + EVAL_CHUNK], model).data
+            for lo in range(0, len(labels), EVAL_CHUNK)
+        ])
+        loss = ad.cross_entropy(ad.Tensor(logits), labels)
+    preds = np.argmax(logits, axis=-1)
     report = compute_metrics(preds, labels, types, n_classes=model.config.num_classes)
-    return total_loss / n, report
+    return float(loss.data), report
 
 
 def _infer_template_count(*datasets) -> int:

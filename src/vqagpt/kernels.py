@@ -1,57 +1,73 @@
 """Hot inner-loop kernels in plain numpy.
 
 Everything here is a gather, scatter, or fused elementwise update that
-dominates profile time outside of BLAS matmuls: the im2col/col2im pair
-behind ``autodiff.conv2d``, the duplicate-safe row scatter behind the
-embedding gradient, and the fused Adam update.  Large matrix products are
-left to numpy BLAS.
+dominates profile time outside of BLAS matmuls: the channels-last patch
+gather behind ``autodiff.conv2d`` and its adjoint, the duplicate-safe row
+scatter behind the embedding gradient, and the fused Adam update.  Large
+matrix products are left to numpy BLAS.
+
+The patch kernels work on channels-last (B, H, W, C) images.  A patch row
+then lists its kernel taps row-major with the channels of each tap
+adjacent, so the gather copies runs of kw*C contiguous values, and the
+patch rows times the (kh*kw*C, C_out) weight matrix are the convolution.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+
+def _out_size(n: int, k: int, stride: int, pad: int) -> int:
+    return (n + 2 * pad - k) // stride + 1
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold (B, C, H, W) into (B, OH*OW, C*kh*kw) patch rows.
+    """Gather (B, H, W, C) into (B*OH*OW, kh*kw*C) patch rows.
 
-    Row p of sample b holds the receptive field of output pixel p in
-    channel-major, then kernel-row, then kernel-column order, which makes
-    convolution a single matmul against a (C*kh*kw, C_out) weight matrix.
+    Row b*OH*OW + p holds the receptive field of output pixel p of sample
+    b in kernel-row, then kernel-column, then channel order.  ``x`` may be
+    any strided view; besides the padding, the one copy is the reshape of
+    the window view.
     """
-    b, c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j, :, :] = xp[
-                :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
-            ]
-    return np.ascontiguousarray(cols.transpose(0, 4, 5, 1, 2, 3)).reshape(
-        b, oh * ow, c * kh * kw
-    )
+    b, h, w, c = x.shape
+    oh, ow = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
+    if pad:
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (B, H', W', C, kh, kw)
+    win = win[:, : stride * oh : stride, : stride * ow : stride]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(b * oh * ow, kh * kw * c)
 
 
 def col2im(
     cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, pad: int
 ) -> np.ndarray:
-    """Adjoint of ``im2col``: scatter patch rows back, summing overlaps."""
-    b, c, h, w = x_shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    cols6 = cols.reshape(b, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            # Within one (i, j) the strided windows are disjoint, so += is safe.
-            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols6[
-                :, :, i, j, :, :
-            ]
-    if pad:
-        return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])
-    return xp
+    """Adjoint of ``im2col``: scatter patch rows back onto (B, H, W, C), summing overlaps.
+
+    ``conv2d`` calls it only where windows are disjoint (kernel <= stride);
+    the tap loop keeps it the exact adjoint for overlapping windows too.
+    """
+    b, h, w, c = x_shape
+    oh, ow = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
+    cols6 = cols.reshape(b, oh, ow, kh, kw, c)
+    if kh <= stride and kw <= stride:
+        # Disjoint windows: the padded image, cut into stride x stride
+        # blocks, takes each patch in the corner of its block, so the
+        # scatter is one block copy and a crop.
+        nh = max(oh, -(-(h + 2 * pad) // stride))
+        nw = max(ow, -(-(w + 2 * pad) // stride))
+        xp = np.zeros((b, nh * stride, nw * stride, c), dtype=cols.dtype)
+        blocks = xp.reshape(b, nh, stride, nw, stride, c)
+        blocks[:, :oh, :kh, :ow, :kw] = cols6.transpose(0, 1, 3, 2, 4, 5)
+    else:
+        xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                # Within one tap the strided windows are disjoint, so += is safe.
+                xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols6[
+                    :, :, :, i, j
+                ]
+    return xp[:, pad : pad + h, pad : pad + w]
 
 
 def scatter_add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels
 from .errors import ConfigError, DataError
 
 PAD_TOKEN = "<pad>"
@@ -259,10 +258,12 @@ def encode_images(imgs: np.ndarray, cfg: VisionTokenizerConfig, params: dict) ->
         # (B, token_dim, g, g) -> (B, g*g, token_dim), row-major over the grid
         out = ad.transpose(out, (0, 2, 3, 1))
         return ad.reshape(out, (b, g * g, cfg.token_dim))
-    # vit_lite: im2col with kernel = stride = patch size yields one row per
-    # patch, row-major, exactly the flattening the projection expects.
+    # vit_lite: the patches tile the image, so patchify is a reshape and one
+    # transpose copy: one row per patch, row-major over the grid, each row
+    # channel-major then pixel row-major, the flattening proj_w expects.
     p = cfg.image_size // g
-    patches = kernels.im2col(x_raw, p, p, p, 0)  # (B, g*g, 3*p*p)
+    patches = x_raw.reshape(b, 3, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)
+    patches = patches.reshape(b, g * g, 3 * p * p)
     tokens = ad.matmul(ad.Tensor(patches), params["proj_w"])
     tokens = ad.add(tokens, params["proj_b"])
     if cfg.vit_internal_pose:

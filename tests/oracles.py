@@ -50,22 +50,22 @@ def conv2d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, p
 
 
 def im2col_reference(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Naive patch gather: (B, C, H, W) -> (B, OH*OW, C*kh*kw)."""
-    b, c, h, w = x.shape
+    """Naive channels-last patch gather: (B, H, W, C) -> (B*OH*OW, kh*kw*C)."""
+    b, h, w, c = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
-    out = np.zeros((b, oh * ow, c * kh * kw), dtype=x.dtype)
+    out = np.zeros((b * oh * ow, kh * kw * c), dtype=x.dtype)
     for n in range(b):
         for p in range(oh * ow):
             r0 = (p // ow) * stride
             c0 = (p % ow) * stride
             k = 0
-            for ch in range(c):
-                for i in range(kh):
-                    for j in range(kw):
-                        out[n, p, k] = x[n, ch, r0 + i, c0 + j]
+            for i in range(kh):
+                for j in range(kw):
+                    for ch in range(c):
+                        out[n * oh * ow + p, k] = x[n, r0 + i, c0 + j, ch]
                         k += 1
     return out
 

@@ -15,7 +15,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import vqagpt.autodiff as ad
 from vqagpt.cli import (
@@ -35,7 +34,6 @@ from vqagpt.embedding import (
     embed_words,
     init_embedding_tables,
 )
-from vqagpt.errors import ConfigError
 from vqagpt.metrics import compute_metrics
 from vqagpt.model import (
     TokenSequence,

@@ -136,6 +136,34 @@ def test_conv2d_matches_scipy_reference():
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
+# Every window layout conv2d branches on: overlapping windows take the
+# input gradient as a gather of the dilated output gradient, disjoint ones
+# (kernel <= stride) as a block copy through col2im.
+CONV_LAYOUTS = [
+    # (c_in, c_out, h, w, k, stride, pad)
+    (3, 5, 6, 6, 3, 1, 1),  # overlapping, C_in != C_out
+    (2, 3, 7, 8, 3, 2, 1),  # overlapping, stride 2, leftover column
+    (3, 4, 8, 8, 4, 4, 0),  # tiling
+    (3, 4, 9, 9, 4, 4, 0),  # tiling, leftover row and column
+    (2, 3, 8, 8, 2, 3, 0),  # stride > kernel
+]
+
+
+@pytest.mark.parametrize("layout", CONV_LAYOUTS)
+def test_conv2d_window_layouts_match_scipy_and_finite_differences(layout):
+    c_in, c_out, h, w_, k, stride, pad = layout
+    rng = np.random.default_rng(11)
+    x = t(rng.standard_normal((2, c_in, h, w_)))
+    w = t(rng.standard_normal((c_out, c_in, k, k)))
+    b = t(rng.standard_normal(c_out))
+    got = ad.conv2d(x, w, b, stride=stride, pad=pad).data
+    ref = conv2d_reference(x.data, w.data, b.data, stride, pad)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) < 1e-10
+    m = Tensor(rng.standard_normal(ref.shape))
+    check_grads(lambda: ad.sum_(ad.mul(ad.conv2d(x, w, b, stride=stride, pad=pad), m)), [x, w, b])
+
+
 # ---------------------------------------------------------------------------
 # gradient checks, op by op
 

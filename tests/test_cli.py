@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vqagpt.autodiff as ad
+import vqagpt.cli as cli
 from conftest import mini_run_config
 from vqagpt.cli import CHECKPOINT_NAME, EVAL_CSV, METRICS_CSV, main
 from vqagpt.config import (
@@ -20,7 +22,7 @@ from vqagpt.config import (
     serialize_config,
 )
 from vqagpt.errors import ConfigError
-from vqagpt.model import init_params, load_checkpoint
+from vqagpt.model import forward_logits, init_params, load_checkpoint, restore_model
 from vqagpt.tokenizers import Vocabulary
 
 
@@ -259,6 +261,36 @@ def test_eval_reports_and_recombines_per_type(trained_mini, tmp_path, capsys):
     assert total == int(overall[0]["n"])
     weighted = sum(int(r["n"]) * float(r["acc"]) for r in per_type) / total
     assert weighted == pytest.approx(float(overall[0]["acc"]), abs=2e-6)
+
+
+def test_evaluation_in_64_sample_chunks_matches_batch_4(trained_mini, mini_corpus, monkeypatch):
+    # The 198 train samples end in a partial chunk both at 64 (3 x 64 + 6)
+    # and at 4 (49 x 4 + 2).
+    config_text, vocab_lines, label_lines, tensors = load_checkpoint(
+        trained_mini["out"] / CHECKPOINT_NAME
+    )
+    cfg = parse_config(config_text)
+    model = restore_model(cfg.to_model_config(len(vocab_lines), len(label_lines)), tensors)
+    ds = mini_corpus["train"]
+    arrays = cli._prepare_arrays(cfg, Vocabulary.from_lines(vocab_lines), ds, ds.samples)
+    images, qids, labels = arrays[:3]
+
+    def logits_at(batch):
+        with ad.no_grad():
+            return np.concatenate([
+                forward_logits(images[i : i + batch], qids[i : i + batch], model).data
+                for i in range(0, len(labels), batch)
+            ])
+
+    assert np.array_equal(logits_at(4), logits_at(cli.EVAL_CHUNK))
+    loss64, rep64 = cli._evaluate_arrays(model, cfg, *arrays)
+    monkeypatch.setattr(cli, "EVAL_CHUNK", 4)
+    loss4, rep4 = cli._evaluate_arrays(model, cfg, *arrays)
+    assert loss4 == loss64
+    assert (rep4.n, rep4.acc, rep4.macro_recall, rep4.macro_fscore, rep4.per_type) == (
+        rep64.n, rep64.acc, rep64.macro_recall, rep64.macro_fscore, rep64.per_type
+    )
+    assert np.array_equal(rep4.confusion, rep64.confusion)
 
 
 def test_eval_after_overfit_scores_train_set_near_one(tmp_path):

@@ -25,7 +25,7 @@ SHAPES = [
 def test_im2col_numpy_matches_reference(shape):
     b, c, h, w, kh, kw, stride, pad = shape
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((b, c, h, w))
+    x = rng.standard_normal((b, h, w, c))
     ref = im2col_reference(x, kh, kw, stride, pad)
     assert np.array_equal(kernels.im2col(x, kh, kw, stride, pad), ref)
 
@@ -35,7 +35,7 @@ def test_col2im_is_adjoint_of_im2col(shape):
     # <im2col(x), y> == <x, col2im(y)> characterizes the adjoint exactly.
     b, c, h, w, kh, kw, stride, pad = shape
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((b, c, h, w))
+    x = rng.standard_normal((b, h, w, c))
     cols = kernels.im2col(x, kh, kw, stride, pad)
     y = rng.standard_normal(cols.shape)
     back = kernels.col2im(y, x.shape, kh, kw, stride, pad)

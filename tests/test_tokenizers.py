@@ -189,6 +189,24 @@ def test_vit_pose_off_is_patch_permutation_equivariant():
         assert np.allclose(got, base[perm], atol=1e-12, rtol=0)
 
 
+def test_vit_tokens_project_channel_major_patch_rows():
+    # proj_w is laid out for patch rows in (channel, pixel row, pixel column)
+    # order; checkpoints depend on it.
+    cfg = vit_cfg()
+    params = init_tokenizer_params(cfg, np.random.default_rng(13), np.float64)
+    img = rand_image(np.random.default_rng(14), cfg.image_size)
+    x = 2.0 * img - 1.0  # the tokenizer's recentring to [-1, 1]
+    g, p = cfg.patch_grid, cfg.image_size // cfg.patch_grid
+    expected = np.empty((g * g, cfg.token_dim))
+    for k in range(g * g):
+        r, c = divmod(k, g)
+        block = x[r * p : (r + 1) * p, c * p : (c + 1) * p]
+        row = [block[i, j, ch] for ch in range(3) for i in range(p) for j in range(p)]
+        expected[k] = np.array(row) @ params["proj_w"].data + params["proj_b"].data
+    got = encode_images(img[None], cfg, params)[0].data
+    assert np.allclose(got, expected, atol=1e-12, rtol=0)
+
+
 def test_encode_images_batch_matches_single():
     for cfg in (cnn_cfg(), vit_cfg()):
         params = init_tokenizer_params(cfg, np.random.default_rng(9), np.float64)
