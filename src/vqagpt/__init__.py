@@ -3,11 +3,11 @@
 The package is layered bottom-up:
 
     kernels     numpy hot loops (channels-last conv patch gather im2col and
-                its adjoint col2im, row scatter, fused Adam)
-    autodiff    reverse-mode Tensor engine + Adam
+                its disjoint-window adjoint col2im, row scatter, fused Adam)
+    autodiff    reverse-mode Tensor engine + Adam over one flat buffer
     tokenizers  word vocabulary, cnn_lite / vit_lite vision tokenizers
     embedding   type + pose + token embedding, token sequencing
-    model       decoder stack, classifier head, checkpoints
+    model       flat parameter buffer, decoder stack, head, checkpoints
     data        synthetic shapes-VQA corpus (PPM + JSONL)
     metrics     accuracy / macro recall / macro F-score / confusion
     config,cli  run configuration grammar and the command-line harness

@@ -20,7 +20,7 @@ Design constraints, in rough order of importance:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -241,16 +241,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def getitem(a: Tensor, idx) -> Tensor:
-    advanced = isinstance(idx, np.ndarray) or (
-        isinstance(idx, tuple) and any(isinstance(i, (np.ndarray, list)) for i in idx)
-    )
+    """Basic indexing only; gathers by id go through ``embedding_lookup``."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    if any(isinstance(i, (np.ndarray, list)) for i in parts):
+        raise TypeError("getitem takes basic indices only; gather by id with embedding_lookup")
 
     def backward_fn(g):
         z = np.zeros_like(a.data)
-        if advanced:
-            np.add.at(z, idx, g)  # integer indices may repeat
-        else:
-            z[idx] += g  # basic slices never alias
+        z[idx] += g  # basic slices never alias
         _accum(a, z)
 
     return _make(a.data[idx], (a,), backward_fn)
@@ -503,11 +501,9 @@ def backward(root: Tensor, grad=None) -> None:
     root._done = True
 
 
-def zero_grad(params) -> None:
-    """Drop gradients on a dict or iterable of tensors."""
-    values = params.values() if hasattr(params, "values") else params
-    for p in values:
-        p.grad = None
+def zero_grad(grad: np.ndarray) -> None:
+    """Zero a gradient buffer in place; the parameters' ``.grad`` views follow."""
+    grad.fill(0)
 
 
 # ---------------------------------------------------------------------------
@@ -516,40 +512,32 @@ def zero_grad(params) -> None:
 
 @dataclass
 class AdamState:
-    """Adam hyperparameters plus per-parameter moment buffers keyed by name."""
+    """Adam hyperparameters, step count, and moments (allocated on the first step)."""
 
     lr: float = 1e-5
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> None:
-    """Apply one bias-corrected Adam update, in place, to every named param.
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``param`` (a model's ``flat``), in one kernel call.
 
-    ``params`` and ``grads`` are parallel name-keyed dicts; a parameter
-    without a gradient is an error (it means the caller passed something
-    that never entered the loss graph).
+    An entry whose gradient is zero on every step keeps m = v = 0, so its
+    update is 0 / (0 + eps) and it stays bitwise unchanged.
     """
+    if grad.shape != param.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match parameter {param.shape}")
+    if state.m is None:
+        state.m = np.zeros_like(param)
+        state.v = np.zeros_like(param)
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise ValueError(f"missing gradient for parameter {name!r}")
-        if g.shape != p.data.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match parameter "
-                f"{name!r} shape {p.data.shape}"
-            )
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        kernels.adam_update(
-            p.data, g, state.m[name], state.v[name],
-            state.lr, state.beta1, state.beta2, state.eps, bc1, bc2,
-        )
+    kernels.adam_update(
+        param, grad, state.m, state.v,
+        state.lr, state.beta1, state.beta2, state.eps, bc1, bc2,
+    )

@@ -2,9 +2,9 @@
 
 Everything here is a gather, scatter, or fused elementwise update that
 dominates profile time outside of BLAS matmuls: the channels-last patch
-gather behind ``autodiff.conv2d`` and its adjoint, the duplicate-safe row
-scatter behind the embedding gradient, and the fused Adam update.  Large
-matrix products are left to numpy BLAS.
+gather behind ``autodiff.conv2d`` and its disjoint-window adjoint, the
+duplicate-safe row scatter behind the embedding gradient, and the fused
+Adam update.  Large matrix products are left to numpy BLAS.
 
 The patch kernels work on channels-last (B, H, W, C) images.  A patch row
 then lists its kernel taps row-major with the channels of each tap
@@ -42,31 +42,21 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray
 def col2im(
     cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, pad: int
 ) -> np.ndarray:
-    """Adjoint of ``im2col``: scatter patch rows back onto (B, H, W, C), summing overlaps.
+    """Adjoint of ``im2col`` for disjoint windows (kernel <= stride), as ``conv2d`` uses it.
 
-    ``conv2d`` calls it only where windows are disjoint (kernel <= stride);
-    the tap loop keeps it the exact adjoint for overlapping windows too.
+    The padded image, cut into stride x stride blocks, takes each patch in
+    the corner of its block, so the scatter is one block copy and a crop.
     """
+    if kh > stride or kw > stride:
+        raise ValueError(f"col2im takes disjoint windows only, not {kh}x{kw} at stride {stride}")
     b, h, w, c = x_shape
     oh, ow = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
+    nh = max(oh, -(-(h + 2 * pad) // stride))
+    nw = max(ow, -(-(w + 2 * pad) // stride))
+    xp = np.zeros((b, nh * stride, nw * stride, c), dtype=cols.dtype)
+    blocks = xp.reshape(b, nh, stride, nw, stride, c)
     cols6 = cols.reshape(b, oh, ow, kh, kw, c)
-    if kh <= stride and kw <= stride:
-        # Disjoint windows: the padded image, cut into stride x stride
-        # blocks, takes each patch in the corner of its block, so the
-        # scatter is one block copy and a crop.
-        nh = max(oh, -(-(h + 2 * pad) // stride))
-        nw = max(ow, -(-(w + 2 * pad) // stride))
-        xp = np.zeros((b, nh * stride, nw * stride, c), dtype=cols.dtype)
-        blocks = xp.reshape(b, nh, stride, nw, stride, c)
-        blocks[:, :oh, :kh, :ow, :kw] = cols6.transpose(0, 1, 3, 2, 4, 5)
-    else:
-        xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                # Within one tap the strided windows are disjoint, so += is safe.
-                xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols6[
-                    :, :, :, i, j
-                ]
+    blocks[:, :oh, :kh, :ow, :kw] = cols6.transpose(0, 1, 3, 2, 4, 5)
     return xp[:, pad : pad + h, pad : pad + w]
 
 

@@ -21,6 +21,7 @@ bitwise exact.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -76,26 +77,31 @@ class ModelConfig:
 
 
 class VQAModel:
-    """Parameter container plus the forward passes defined over it."""
+    """Parameter container plus the forward passes defined over it.
+
+    Each parameter's ``.data`` and ``.grad`` are views into two contiguous
+    buffers, ``flat`` and ``grad``, packed in the insertion order of ``params``.
+    """
 
     def __init__(self, config: ModelConfig, params: dict, tables: EmbeddingTables):
         self.config = config
-        self.params = params  # flat name -> Tensor, fixed insertion order
-        self.tables = tables
+        self.params = params  # name -> Tensor viewing flat/grad, in packing order
+        self.tables = tables  # holds the same Tensors as the emb.* params
+        self.flat = np.concatenate([p.data.ravel() for p in params.values()])
+        self.grad = np.zeros_like(self.flat)
+        lo = 0
+        for p in params.values():
+            shape, hi = p.data.shape, lo + p.data.size
+            p.data = self.flat[lo:hi].reshape(shape)
+            p.grad = self.grad[lo:hi].reshape(shape)
+            lo = hi
 
     @property
     def tok_params(self) -> dict:
         return {k[len("tok."):]: v for k, v in self.params.items() if k.startswith("tok.")}
 
-    def trainable_params(self) -> dict:
-        """Parameters that participate in the loss graph for this config."""
-        out = dict(self.params)
-        if not self.config.sequencing.use_type_embedding:
-            out.pop("emb.type")
-        return out
-
     def param_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
+        return self.flat.size
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> VQAModel:
@@ -281,13 +287,11 @@ def train_step(batch, model: VQAModel, opt: ad.AdamState) -> float:
             f"label out of range [0, {model.config.num_classes}): "
             f"min {labels.min()}, max {labels.max()}"
         )
-    trainable = model.trainable_params()
-    ad.zero_grad(trainable)
+    ad.zero_grad(model.grad)
     logits = forward_logits(images, question_ids, model)
     loss = ad.cross_entropy(logits, labels)
     ad.backward(loss)
-    grads = {name: t.grad for name, t in trainable.items()}
-    ad.adam_step(trainable, grads, opt)
+    ad.adam_step(model.flat, model.grad, opt)
     return float(loss.data)
 
 
@@ -323,24 +327,34 @@ def save_checkpoint(
     vocab_lines: list,
     label_lines: list,
 ) -> None:
-    """Serialize config text, vocab, label map, and all named tensors."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        _write_block(f, config_text.encode("utf-8"))
-        _write_block(f, "\n".join(vocab_lines).encode("utf-8"))
-        _write_block(f, "\n".join(label_lines).encode("utf-8"))
-        f.write(struct.pack("<I", len(model.params)))
-        for name, tensor in model.params.items():
-            arr = np.ascontiguousarray(tensor.data)
-            if arr.dtype.byteorder == ">":
-                arr = arr.astype(arr.dtype.newbyteorder("<"))
-            _write_block(f, name.encode("utf-8"))
-            _write_block(f, arr.dtype.str.encode("ascii"))
-            f.write(struct.pack("<I", arr.ndim))
-            for extent in arr.shape:
-                f.write(struct.pack("<Q", extent))
-            _write_block(f, arr.tobytes())
+    """Serialize config text, vocab, label map, and all named tensors.
+
+    ``<path>.tmp`` is written, then renamed over ``path``: a failed save
+    leaves the previous checkpoint whole and no temp file behind.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            _write_block(f, config_text.encode("utf-8"))
+            _write_block(f, "\n".join(vocab_lines).encode("utf-8"))
+            _write_block(f, "\n".join(label_lines).encode("utf-8"))
+            f.write(struct.pack("<I", len(model.params)))
+            for name, tensor in model.params.items():
+                arr = np.ascontiguousarray(tensor.data)
+                if arr.dtype.byteorder == ">":
+                    arr = arr.astype(arr.dtype.newbyteorder("<"))
+                _write_block(f, name.encode("utf-8"))
+                _write_block(f, arr.dtype.str.encode("ascii"))
+                f.write(struct.pack("<I", arr.ndim))
+                for extent in arr.shape:
+                    f.write(struct.pack("<Q", extent))
+                _write_block(f, arr.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
@@ -388,7 +402,7 @@ def load_checkpoint(path):
 
 
 def restore_model(config: ModelConfig, tensors: dict, dtype=None) -> VQAModel:
-    """Build a model from config and overwrite every parameter from ``tensors``."""
+    """Build a model from config and copy every tensor into its view of ``model.flat``."""
     sample = next(iter(tensors.values()), None)
     if dtype is None:
         dtype = sample.dtype if sample is not None else np.float32
@@ -406,5 +420,5 @@ def restore_model(config: ModelConfig, tensors: dict, dtype=None) -> VQAModel:
                 f"tensor {name!r} shape {arr.shape} does not match "
                 f"configured {tuple(param.data.shape)}"
             )
-        param.data = arr.astype(dtype, copy=True) if arr.dtype != dtype else arr.copy()
+        param.data[...] = arr
     return model

@@ -1,7 +1,8 @@
 """Kernel tests: the numpy kernels against reference oracles.
 
 Equality assertions against the oracles are exact, not approximate; the
-col2im check is the adjoint identity, which holds to rounding.
+col2im check is the adjoint identity, which holds to rounding, on every
+disjoint-window shape; col2im rejects overlapping windows.
 """
 
 import numpy as np
@@ -30,7 +31,11 @@ def test_im2col_numpy_matches_reference(shape):
     assert np.array_equal(kernels.im2col(x, kh, kw, stride, pad), ref)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+# Disjoint windows with gaps between them (stride > kernel) and padding.
+STRIDE_PAST_KERNEL = (2, 3, 7, 9, 2, 2, 3, 1)
+
+
+@pytest.mark.parametrize("shape", SHAPES + [STRIDE_PAST_KERNEL])
 def test_col2im_is_adjoint_of_im2col(shape):
     # <im2col(x), y> == <x, col2im(y)> characterizes the adjoint exactly.
     b, c, h, w, kh, kw, stride, pad = shape
@@ -38,6 +43,10 @@ def test_col2im_is_adjoint_of_im2col(shape):
     x = rng.standard_normal((b, h, w, c))
     cols = kernels.im2col(x, kh, kw, stride, pad)
     y = rng.standard_normal(cols.shape)
+    if kh > stride or kw > stride:
+        with pytest.raises(ValueError, match="disjoint windows only"):
+            kernels.col2im(y, x.shape, kh, kw, stride, pad)
+        return
     back = kernels.col2im(y, x.shape, kh, kw, stride, pad)
     lhs = float((cols * y).sum())
     rhs = float((x * back).sum())

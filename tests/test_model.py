@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import vqagpt.autodiff as ad
+import vqagpt.model as model_module
+from vqagpt import kernels
 from vqagpt.autodiff import AdamState, Tensor
 from vqagpt.embedding import VISION_TYPE, WORD_TYPE, SequencingConfig, TokenSequence
 from vqagpt.errors import CheckpointError, ConfigError
@@ -340,6 +342,39 @@ def test_train_step_label_range_error():
         train_step((imgs, qids, np.array([0, 5])), m, AdamState())
 
 
+def test_train_step_makes_one_adam_kernel_call(monkeypatch):
+    sizes = []
+    real = kernels.adam_update
+
+    def counting(param, *rest):
+        sizes.append(param.size)
+        real(param, *rest)
+
+    monkeypatch.setattr(kernels, "adam_update", counting)
+    cfg = small_config()
+    m = init_params(cfg, seed=30, dtype=np.float64)
+    train_step(batch_for(cfg, np.random.default_rng(31)), m, AdamState())
+    assert sizes == [m.param_count()]
+
+
+def test_parameter_outside_the_loss_graph_stays_bitwise_unchanged():
+    # Without type embeddings emb.type never enters the loss: its gradient
+    # stays exactly zero, so Adam's moments stay zero and so does its update.
+    seq = SequencingConfig(order="early_word", vision_pose_mode="actual",
+                           use_type_embedding=False)
+    cfg = small_config(sequencing=seq)
+    m = init_params(cfg, seed=32, dtype=np.float32)
+    before = {k: v.data.copy() for k, v in m.params.items()}
+    opt = AdamState(lr=1e-2)
+    rng = np.random.default_rng(33)
+    for _ in range(3):
+        train_step(batch_for(cfg, rng), m, opt)
+    assert m.params["emb.type"].data.tobytes() == before["emb.type"].tobytes()
+    for k, v in m.params.items():
+        if k != "emb.type":
+            assert not np.array_equal(v.data, before[k]), k
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -347,6 +382,57 @@ def test_train_step_label_range_error():
 CONFIG_TEXT = "# frozen run settings\nd = 8\n"
 VOCAB = ["<pad>", "<unk>", "what", "is"]
 LABELS = ["red\t0", "blue\t1"]
+
+
+def assert_packed(m):
+    """Every .data / .grad is a view of model.flat / model.grad, in insertion order."""
+    p0 = m.flat.__array_interface__["data"][0]
+    g0 = m.grad.__array_interface__["data"][0]
+    offset = 0
+    for k, v in m.params.items():
+        assert v.data.__array_interface__["data"][0] - p0 == offset * m.flat.itemsize, k
+        assert v.grad.__array_interface__["data"][0] - g0 == offset * m.grad.itemsize, k
+        assert np.shares_memory(v.data, m.flat) and np.shares_memory(v.grad, m.grad), k
+        offset += v.data.size
+    assert offset == m.flat.size == m.grad.size
+
+
+def test_parameters_and_gradients_are_views_of_two_flat_buffers(tmp_path):
+    cfg = small_config()
+    m = init_params(cfg, seed=26, dtype=np.float32)
+    assert_packed(m)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, m, CONFIG_TEXT, VOCAB, LABELS)
+    restored = restore_model(cfg, load_checkpoint(path)[3])
+    assert_packed(restored)
+    assert restored.flat.tobytes() == m.flat.tobytes()
+    # the views are what Adam moves: a restored model must train
+    before = {k: v.data.copy() for k, v in restored.params.items()}
+    train_step(batch_for(cfg, np.random.default_rng(27)), restored, AdamState(lr=1e-2))
+    for k, v in restored.params.items():
+        assert not np.array_equal(v.data, before[k]), k
+
+
+def test_failed_save_keeps_previous_checkpoint_and_leaves_no_temp_file(
+    tmp_path, monkeypatch
+):
+    cfg = small_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(cfg, seed=0), CONFIG_TEXT, VOCAB, LABELS)
+    good = path.read_bytes()
+    real, calls = model_module._write_block, []
+
+    def write_then_fail(f, payload):
+        calls.append(len(payload))
+        if len(calls) == 6:  # the first tensor's data, after its name and dtype
+            raise OSError("disk full")
+        real(f, payload)
+
+    monkeypatch.setattr(model_module, "_write_block", write_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, init_params(cfg, seed=1), CONFIG_TEXT, VOCAB, LABELS)
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
