@@ -9,7 +9,7 @@ sum of all its downstream contributions.
 Design constraints, in rough order of importance:
 
 * Gradients must survive a finite-difference check at 1e-4 relative error,
-  so every activation here is smooth (erf-based GELU, softmax, layer norm).
+  so every activation here is smooth (tanh-form GELU, softmax, layer norm).
 * Arrays keep whatever dtype they were created with; nothing silently
   casts.  Precision is chosen where parameters are created (f32 for
   training speed, f64 for gradient checking) and propagates from there.
@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import kernels
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_K = 0.044715
 
 _GRAD_ENABLED = True
 
@@ -118,9 +117,16 @@ def _as_tensor(x, like: Tensor) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``; the first contribution is copied in.
+
+    A copy, not the array itself: ``g`` may be a view of another node's
+    gradient, and ``add`` hands the same ``g`` to both of its parents.
+    """
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
@@ -197,6 +203,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     def backward_fn(g):
+        if b.data.ndim == 2:
+            # b is a weight: fold every leading dim into the rows of one GEMM
+            # per gradient, instead of a stack of per-sample products.  The
+            # forward keeps the stack, so eval logits stay batch-independent.
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accum(a, np.matmul(g2, b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accum(b, np.matmul(a.data.reshape(-1, a.data.shape[-1]).T, g2))
+            return
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             _accum(a, _unbroadcast(ga, a.data.shape))
@@ -284,14 +300,37 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-form) GELU; smooth everywhere, so finite differences agree."""
+    """GELU in the tanh form GPT-2 uses: 0.5 x (1 + t), t = tanh(c (x + k x^3)).
+
+    Here c = sqrt(2/pi) and k = 0.044715.  It is smooth everywhere, so
+    finite differences agree, and it stays within 5e-4 of the erf form.
+    The derivative factors as 0.5 (1 + t)(1 + c x (1 + 3k x^2)(1 - t)).
+    The backward builds it in one new array and in ``t``'s buffer, which no
+    one reads after it: a graph's backward runs once.
+    """
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * cdf
+    t = x * x
+    t *= _GELU_C * _GELU_K
+    t += _GELU_C
+    t *= x
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def backward_fn(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        _accum(a, g * (cdf + x * pdf))
+        d = x * x
+        d *= 3.0 * _GELU_C * _GELU_K
+        d += _GELU_C
+        d *= x
+        np.subtract(1.0, t, out=t)
+        d *= t
+        d += 1.0
+        np.subtract(2.0, t, out=t)  # 1 + t
+        d *= t
+        d *= 0.5
+        d *= g
+        _accum(a, d)
 
     return _make(out, (a,), backward_fn)
 

@@ -32,14 +32,14 @@ from .data import GeneratorSpec, generate_synthetic, load_dataset, load_images
 from .errors import ConfigError, DataError, VqagptError
 from .metrics import compute_metrics, report_lines
 from .model import (
-    forward_logits,
+    feature_logits,
     init_params,
     load_checkpoint,
     restore_model,
     save_checkpoint,
     train_step,
 )
-from .tokenizers import Vocabulary, build_vocab, tokenize_question
+from .tokenizers import Vocabulary, build_vocab, feature_shape, image_features, tokenize_question
 
 CHECKPOINT_NAME = "model.ckpt"
 METRICS_CSV = "metrics.csv"
@@ -90,16 +90,29 @@ def _parse_label_lines(lines) -> dict:
 
 
 def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
-    images = load_images(dataset, samples)
+    """Image features, question ids, labels and question types of ``samples``.
+
+    The frozen image stage (``tokenizers.image_features``) runs here, once
+    per split, so no train step or evaluation pass repeats it.  The images
+    are read and featurized in ``EVAL_CHUNK``-sample chunks into one
+    preallocated array, so the split's raw images are never all held at once.
+    """
+    if not samples:
+        raise DataError("no samples to prepare")
+    tok_cfg = cfg.tokenizer_config()
+    feats = np.empty((len(samples),) + feature_shape(tok_cfg), dtype=_dtype_for(cfg))
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        chunk = load_images(dataset, samples[lo : lo + EVAL_CHUNK])
+        feats[lo : lo + len(chunk)] = image_features(chunk, tok_cfg, feats.dtype)
     qids = np.stack(
         [tokenize_question(s.question, vocab, cfg.max_question_len) for s in samples]
     )
     labels = np.array([s.answer_class for s in samples], dtype=np.int64)
     types = [s.question_type for s in samples]
-    return images, qids, labels, types
+    return feats, qids, labels, types
 
 
-def _evaluate_arrays(model, cfg: RunConfig, images, qids, labels, types):
+def _evaluate_arrays(model, cfg: RunConfig, feats, qids, labels, types):
     """Mean loss + MetricsReport over the arrays, no grad recorded.
 
     The forward passes run in ``EVAL_CHUNK``-sample chunks, not at
@@ -109,7 +122,7 @@ def _evaluate_arrays(model, cfg: RunConfig, images, qids, labels, types):
     """
     with ad.no_grad():
         logits = np.concatenate([
-            forward_logits(images[lo : lo + EVAL_CHUNK], qids[lo : lo + EVAL_CHUNK], model).data
+            feature_logits(feats[lo : lo + EVAL_CHUNK], qids[lo : lo + EVAL_CHUNK], model).data
             for lo in range(0, len(labels), EVAL_CHUNK)
         ])
         loss = ad.cross_entropy(ad.Tensor(logits), labels)
@@ -153,16 +166,16 @@ def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
     vocab = build_vocab([s.question for s in train_samples], cfg.min_word_count)
     model = init_params(cfg.to_model_config(vocab.size), cfg.seed, dtype)
     opt = ad.AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-    images, qids, labels, types = _prepare_arrays(cfg, vocab, train_ds, train_samples)
-    t_images, t_qids, t_labels, t_types = _prepare_arrays(
+    feats, qids, labels, types = _prepare_arrays(cfg, vocab, train_ds, train_samples)
+    t_feats, t_qids, t_labels, t_types = _prepare_arrays(
         cfg, vocab, test_ds, test_ds.samples
     )
     shuffle_rng = np.random.Generator(np.random.PCG64([cfg.seed, 1]))
     rows = []
 
     def snapshot(epoch: int, running_loss):
-        tr_loss, tr_rep = _evaluate_arrays(model, cfg, images, qids, labels, types)
-        va_loss, va_rep = _evaluate_arrays(model, cfg, t_images, t_qids, t_labels, t_types)
+        tr_loss, tr_rep = _evaluate_arrays(model, cfg, feats, qids, labels, types)
+        va_loss, va_rep = _evaluate_arrays(model, cfg, t_feats, t_qids, t_labels, t_types)
         row = {
             "epoch": epoch,
             "train_loss": repr(running_loss if running_loss is not None else tr_loss),
@@ -188,7 +201,7 @@ def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
         total = 0.0
         for lo in range(0, len(perm), cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            loss = train_step((images[idx], qids[idx], labels[idx]), model, opt)
+            loss = train_step((feats[idx], qids[idx], labels[idx]), model, opt)
             total += loss * len(idx)
         snapshot(epoch, total / len(perm))
     return model, vocab, rows

@@ -42,6 +42,7 @@ from .tokenizers import (
     PAD_ID,
     VisionTokenizerConfig,
     encode_images,
+    image_features,
     init_tokenizer_params,
 )
 
@@ -199,10 +200,12 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Ten
     mask = ad.Tensor(mask_data)
     for i in range(cfg.n_layers):
         h = ad.layer_norm(x, p[f"h{i}.ln1_g"], p[f"h{i}.ln1_b"])
-        qkv = ad.add(ad.matmul(h, p[f"h{i}.qkv_w"]), p[f"h{i}.qkv_b"])
         parts = []
         for s in range(3):
-            part = qkv[:, :, s * d : (s + 1) * d]
+            # q, k, v from column blocks of qkv_w / qkv_b: the slices' backward
+            # then zero-fills weight-sized arrays, not (B, L, 3d) activations.
+            cols = slice(s * d, (s + 1) * d)
+            part = ad.add(ad.matmul(h, p[f"h{i}.qkv_w"][:, cols]), p[f"h{i}.qkv_b"][cols])
             part = ad.reshape(part, (bsz, length, nh, hd))
             parts.append(ad.transpose(part, (0, 2, 1, 3)))  # (B, nh, L, hd)
         q, k, v = parts
@@ -245,18 +248,26 @@ def classify(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Tensor:
     if seq.length == 0:
         raise ValueError("cannot classify an empty sequence")
     h = decoder_forward(seq, model, key_pad=key_pad)
-    bsz, _, d = h.shape
+    bsz = h.shape[0]
     weights = _readout_weights(seq, bsz, key_pad).astype(h.dtype)
-    pooled = ad.reshape(ad.matmul(ad.Tensor(weights[:, None, :]), h), (bsz, d))
+    pooled = ad.matmul(ad.Tensor(weights[:, None, :]), h)  # (B, 1, d)
     p = model.params
+    # The fc layers run on (B, 1, d) rows, one product per sample, so a
+    # sample's logits do not depend on how many share its batch.
     mid = ad.gelu(ad.add(ad.matmul(pooled, p["head.fc1_w"]), p["head.fc1_b"]))
-    return ad.add(ad.matmul(mid, p["head.fc2_w"]), p["head.fc2_b"])
+    logits = ad.add(ad.matmul(mid, p["head.fc2_w"]), p["head.fc2_b"])
+    return ad.reshape(logits, (bsz, model.config.num_classes))
 
 
-def build_sequence(images: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> TokenSequence:
-    """images (B, H, W, 3) + question ids (B, n) -> embedded TokenSequence."""
+def build_sequence(
+    features: np.ndarray, question_ids: np.ndarray, model: VQAModel
+) -> TokenSequence:
+    """Image features + question ids (B, n) -> embedded TokenSequence.
+
+    ``features`` is ``tokenizers.image_features`` of the (B, H, W, 3) images.
+    """
     cfg = model.config
-    vision_raw = encode_images(images, cfg.tokenizer, model.tok_params)
+    vision_raw = encode_images(features, cfg.tokenizer, model.tok_params)
     words_e = embed_words(question_ids, model.tables, cfg.sequencing)
     vision_e = embed_vision(vision_raw, model.tables, cfg.sequencing)
     return sequence(words_e, vision_e, cfg.sequencing)
@@ -273,14 +284,30 @@ def _padding_keys(question_ids: np.ndarray, model: VQAModel) -> np.ndarray:
     return np.concatenate([vision, word_pad], axis=1)
 
 
-def forward_logits(images: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> ad.Tensor:
-    seq = build_sequence(images, question_ids, model)
+def feature_logits(features: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> ad.Tensor:
+    """Class logits (B, num_classes) from image features and question ids."""
+    seq = build_sequence(features, question_ids, model)
     return classify(seq, model, key_pad=_padding_keys(question_ids, model))
 
 
+def forward_logits(images: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> ad.Tensor:
+    """Class logits from raw (B, H, W, 3) images: the frozen stage, then ``feature_logits``.
+
+    The frozen stage treats each sample alone, so these logits equal bitwise
+    those of features computed once per dataset, as training and
+    evaluation do.
+    """
+    features = image_features(images, model.config.tokenizer, model.flat.dtype)
+    return feature_logits(features, question_ids, model)
+
+
 def train_step(batch, model: VQAModel, opt: ad.AdamState) -> float:
-    """One optimization step; returns the pre-step mean cross-entropy."""
-    images, question_ids, labels = batch
+    """One step on (features, question ids, labels); returns the pre-step mean cross-entropy.
+
+    The features are ``tokenizers.image_features`` of the batch's images,
+    which the caller computes once per dataset.
+    """
+    features, question_ids, labels = batch
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= model.config.num_classes):
         raise ValueError(
@@ -288,7 +315,7 @@ def train_step(batch, model: VQAModel, opt: ad.AdamState) -> float:
             f"min {labels.min()}, max {labels.max()}"
         )
     ad.zero_grad(model.grad)
-    logits = forward_logits(images, question_ids, model)
+    logits = feature_logits(features, question_ids, model)
     loss = ad.cross_entropy(logits, labels)
     ad.backward(loss)
     ad.adam_step(model.flat, model.grad, opt)

@@ -16,8 +16,12 @@ tokens of width token_dim:
   (``vit_internal_pose``), which deliberately duplicates the position
   information the sequence-level pose table can also supply.
 
-Both are deterministic functions of (image, params); all learned state
-lives in the params dict so the model owns initialization and updates.
+Each runs in two stages.  ``image_features`` is the parameter-free one
+(checks, cast, recentring, then the frozen bank or the patchify); it
+depends on the image alone, so training and evaluation run it once per
+dataset.  ``encode_images`` is the learned one, on those features.  All
+learned state lives in the params dict so the model owns initialization
+and updates.
 """
 
 from __future__ import annotations
@@ -167,7 +171,10 @@ def _fixed_feature_maps(x: np.ndarray) -> np.ndarray:
     """
     b, _, s, _ = x.shape
     half = s // 2
-    pooled = x.reshape(b, 3, half, 2, half, 2).mean(axis=(3, 5))
+    # The 2x2 mean pool as two pair sums: strided adds, not a strided
+    # reduction, which costs ten times as much.
+    v = x.reshape(b, 3, half, 2, half, 2)
+    pooled = ((v[..., 0, :, 0] + v[..., 0, :, 1]) + (v[..., 1, :, 0] + v[..., 1, :, 1])) / 4
     luma = 0.299 * pooled[:, 0] + 0.587 * pooled[:, 1] + 0.114 * pooled[:, 2]
     padded = np.pad(luma, ((0, 0), (1, 1), (1, 1)), mode="edge")
     edges = [
@@ -234,38 +241,61 @@ def _check_image_batch(imgs: np.ndarray, cfg: VisionTokenizerConfig) -> np.ndarr
     return np.ascontiguousarray(imgs.transpose(0, 3, 1, 2))  # to (B, 3, H, W)
 
 
-def encode_images(imgs: np.ndarray, cfg: VisionTokenizerConfig, params: dict) -> ad.Tensor:
-    """Batched tokenizer core: (B, H, W, 3) floats -> (B, g*g, token_dim)."""
-    x_raw = _check_image_batch(imgs, cfg)
-    model_dtype = next(iter(params.values())).data.dtype
-    if x_raw.dtype != model_dtype:
-        x_raw = x_raw.astype(model_dtype)  # keep the whole graph in one dtype
-    # Pixels arrive in [0, 1]; recentre to [-1, 1] so the first layer sees
-    # zero-mean inputs instead of an all-positive block that mostly trains
-    # its bias.
-    x_raw = 2.0 * x_raw - 1.0
-    g = cfg.patch_grid
-    b = x_raw.shape[0]
+def feature_shape(cfg: VisionTokenizerConfig) -> tuple:
+    """Per-sample shape of ``image_features``: the learned stage's input."""
     if cfg.backend == "cnn_lite":
-        # Stage 1 is the frozen bank; stages 2 (residual pair) and 3
-        # (grid-collapsing conv) are learned.
-        feats = ad.Tensor(_fixed_feature_maps(x_raw))
-        r = ad.gelu(ad.conv2d(feats, params["res_a_w"], params["res_a_b"], stride=1, pad=1))
+        half = cfg.image_size // 2
+        return (_CNN_BANK_CH, half, half)
+    p = cfg.image_size // cfg.patch_grid
+    return (cfg.n_tokens, 3 * p * p)
+
+
+def image_features(imgs: np.ndarray, cfg: VisionTokenizerConfig, dtype) -> np.ndarray:
+    """Parameter-free image stage: (B, H, W, 3) floats -> (B, *feature_shape(cfg)).
+
+    It depends on the image alone, and on each sample alone, so a caller
+    may run it once per dataset, in any chunks, and feed ``encode_images``
+    from the result.  The images are checked, cast to ``dtype`` (the model
+    dtype, so the whole graph keeps one dtype) and recentred from [0, 1] to
+    [-1, 1], so the first layer sees zero-mean inputs instead of an
+    all-positive block that mostly trains its bias.  Then cnn_lite applies
+    its frozen filter bank, and vit_lite cuts the image into patch rows.
+    """
+    x = 2.0 * _check_image_batch(imgs, cfg).astype(dtype, copy=False) - 1.0
+    if cfg.backend == "cnn_lite":
+        return _fixed_feature_maps(x)
+    # The patches tile the image, so patchify is a reshape and one transpose
+    # copy: one row per patch, row-major over the grid, each row
+    # channel-major then pixel row-major, the flattening proj_w expects.
+    g = cfg.patch_grid
+    p = cfg.image_size // g
+    patches = x.reshape(x.shape[0], 3, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)
+    return patches.reshape(x.shape[0], g * g, 3 * p * p)
+
+
+def encode_images(feats: np.ndarray, cfg: VisionTokenizerConfig, params: dict) -> ad.Tensor:
+    """Learned tokenizer stage: ``image_features`` output -> (B, g*g, token_dim)."""
+    feats = np.asarray(feats)
+    if feats.shape[1:] != feature_shape(cfg):
+        raise DataError(
+            f"expected image features (B, {', '.join(map(str, feature_shape(cfg)))}), "
+            f"got shape {feats.shape}; raw images go through image_features first"
+        )
+    g = cfg.patch_grid
+    b = feats.shape[0]
+    x = ad.Tensor(feats)
+    if cfg.backend == "cnn_lite":
+        # Stage 1, the frozen bank, ran in image_features; stages 2
+        # (residual pair) and 3 (grid-collapsing conv) are learned.
+        r = ad.gelu(ad.conv2d(x, params["res_a_w"], params["res_a_b"], stride=1, pad=1))
         r = ad.conv2d(r, params["res_b_w"], params["res_b_b"], stride=1, pad=1)
-        h = ad.gelu(ad.add(feats, r))
+        h = ad.gelu(ad.add(x, r))
         k = (cfg.image_size // 2) // g
         out = ad.conv2d(h, params["out_w"], params["out_b"], stride=k, pad=0)
         # (B, token_dim, g, g) -> (B, g*g, token_dim), row-major over the grid
         out = ad.transpose(out, (0, 2, 3, 1))
         return ad.reshape(out, (b, g * g, cfg.token_dim))
-    # vit_lite: the patches tile the image, so patchify is a reshape and one
-    # transpose copy: one row per patch, row-major over the grid, each row
-    # channel-major then pixel row-major, the flattening proj_w expects.
-    p = cfg.image_size // g
-    patches = x_raw.reshape(b, 3, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)
-    patches = patches.reshape(b, g * g, 3 * p * p)
-    tokens = ad.matmul(ad.Tensor(patches), params["proj_w"])
-    tokens = ad.add(tokens, params["proj_b"])
+    tokens = ad.add(ad.matmul(x, params["proj_w"]), params["proj_b"])
     if cfg.vit_internal_pose:
         tokens = ad.add(tokens, params["pose"])  # broadcasts over the batch
     return tokens

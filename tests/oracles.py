@@ -171,4 +171,15 @@ def adam_first_step_delta(g: np.ndarray, lr: float, eps: float) -> np.ndarray:
 
 
 def gelu_reference(x: np.ndarray) -> np.ndarray:
-    return np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.reshape(-1)]).reshape(x.shape)
+    """GELU as GPT-2 defines it, the tanh form, one element at a time."""
+    c = math.sqrt(2.0 / math.pi)
+    return np.array(
+        [0.5 * v * (1.0 + math.tanh(c * (v + 0.044715 * v**3))) for v in x.reshape(-1)]
+    ).reshape(x.shape)
+
+
+def gelu_erf_reference(x: np.ndarray) -> np.ndarray:
+    """The exact GELU, x * Phi(x), one element at a time."""
+    return np.array(
+        [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.reshape(-1)]
+    ).reshape(x.shape)

@@ -46,7 +46,7 @@ from vqagpt.model import (
     save_checkpoint,
     train_step,
 )
-from vqagpt.tokenizers import build_vocab, tokenize_question
+from vqagpt.tokenizers import build_vocab, image_features, tokenize_question
 
 from conftest import mini_run_config
 from oracles import brute_force_metrics, fd_gradient, max_rel_err
@@ -163,7 +163,8 @@ def test_2_causality_suite(capfd):
                 tokenize_question("what shape sits at the top left cell", vocab, 8),
             ]
         )
-        seq = build_sequence(images, qids, model)
+        feats = image_features(images, model.config.tokenizer, np.float64)
+        seq = build_sequence(feats, qids, model)
         with ad.no_grad():
             h_base = decoder_forward(seq, model).data
         length = seq.length
@@ -190,8 +191,10 @@ def test_2_causality_suite(capfd):
         img_a = rng.random((2, 8, 8, 3), dtype=np.float64)
         img_b = rng.random((2, 8, 8, 3), dtype=np.float64)
         with ad.no_grad():
-            h_a = decoder_forward(build_sequence(img_a, qids, model), model).data
-            h_b = decoder_forward(build_sequence(img_b, qids, model), model).data
+            feats_a = image_features(img_a, model.config.tokenizer, np.float64)
+            feats_b = image_features(img_b, model.config.tokenizer, np.float64)
+            h_a = decoder_forward(build_sequence(feats_a, qids, model), model).data
+            h_b = decoder_forward(build_sequence(feats_b, qids, model), model).data
         assert np.array_equal(h_a[:, :n_words], h_b[:, :n_words]), (
             f"trial {trial}: word hidden states moved with the image"
         )

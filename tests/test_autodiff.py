@@ -15,6 +15,7 @@ from oracles import (
     adam_first_step_delta,
     conv2d_reference,
     fd_gradient,
+    gelu_erf_reference,
     gelu_reference,
     max_rel_err,
     softmax_reference,
@@ -91,6 +92,12 @@ def test_gelu_zero_and_reference():
     assert ad.gelu(Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
     x = np.linspace(-3, 3, 13)
     assert np.max(np.abs(ad.gelu(Tensor(x)).data - gelu_reference(x))) < 1e-12
+
+
+def test_gelu_tanh_form_stays_within_5e_4_of_the_erf_form():
+    x = np.linspace(-6, 6, 1201)
+    assert np.max(np.abs(gelu_reference(x) - gelu_erf_reference(x))) < 5e-4
+    assert np.max(np.abs(ad.gelu(Tensor(x)).data - gelu_erf_reference(x))) < 5e-4
 
 
 def test_layer_norm_constant_vector_is_near_zero():

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,8 +24,15 @@ from vqagpt.config import (
     parse_config,
     serialize_config,
 )
+from vqagpt.data import load_images
 from vqagpt.errors import ConfigError
-from vqagpt.model import forward_logits, init_params, load_checkpoint, restore_model
+from vqagpt.model import (
+    feature_logits,
+    forward_logits,
+    init_params,
+    load_checkpoint,
+    restore_model,
+)
 from vqagpt.tokenizers import Vocabulary
 
 
@@ -265,32 +275,66 @@ def test_eval_reports_and_recombines_per_type(trained_mini, tmp_path, capsys):
 
 def test_evaluation_in_64_sample_chunks_matches_batch_4(trained_mini, mini_corpus, monkeypatch):
     # The 198 train samples end in a partial chunk both at 64 (3 x 64 + 6)
-    # and at 4 (49 x 4 + 2).
+    # and at 4 (49 x 4 + 2).  Their first 65 end in a 1-sample chunk at 64
+    # (and at 4), which must match the same sample forwarded in one pass of
+    # all 65; they run through a model of the desk width d = 64, where a
+    # product of one row can round otherwise than inside a larger product.
     config_text, vocab_lines, label_lines, tensors = load_checkpoint(
         trained_mini["out"] / CHECKPOINT_NAME
     )
     cfg = parse_config(config_text)
-    model = restore_model(cfg.to_model_config(len(vocab_lines), len(label_lines)), tensors)
+    trained = restore_model(cfg.to_model_config(len(vocab_lines), len(label_lines)), tensors)
+    wide_cfg = replace(cfg, d=64, n_heads=4, token_dim=64)
+    wide = init_params(wide_cfg.to_model_config(len(vocab_lines), len(label_lines)), 0)
     ds = mini_corpus["train"]
-    arrays = cli._prepare_arrays(cfg, Vocabulary.from_lines(vocab_lines), ds, ds.samples)
-    images, qids, labels = arrays[:3]
+    vocab = Vocabulary.from_lines(vocab_lines)
+    chunk = cli.EVAL_CHUNK
+    for model, run_cfg, n in ((trained, cfg, len(ds.samples)), (wide, wide_cfg, 65)):
+        arrays = cli._prepare_arrays(run_cfg, vocab, ds, ds.samples[:n])
+        feats, qids, labels = arrays[:3]
 
-    def logits_at(batch):
-        with ad.no_grad():
-            return np.concatenate([
-                forward_logits(images[i : i + batch], qids[i : i + batch], model).data
-                for i in range(0, len(labels), batch)
-            ])
+        def logits_at(batch):
+            with ad.no_grad():
+                return np.concatenate([
+                    feature_logits(feats[i : i + batch], qids[i : i + batch], model).data
+                    for i in range(0, len(labels), batch)
+                ])
 
-    assert np.array_equal(logits_at(4), logits_at(cli.EVAL_CHUNK))
-    loss64, rep64 = cli._evaluate_arrays(model, cfg, *arrays)
-    monkeypatch.setattr(cli, "EVAL_CHUNK", 4)
-    loss4, rep4 = cli._evaluate_arrays(model, cfg, *arrays)
-    assert loss4 == loss64
-    assert (rep4.n, rep4.acc, rep4.macro_recall, rep4.macro_fscore, rep4.per_type) == (
-        rep64.n, rep64.acc, rep64.macro_recall, rep64.macro_fscore, rep64.per_type
+        monkeypatch.setattr(cli, "EVAL_CHUNK", chunk)
+        loss_c, rep_c = cli._evaluate_arrays(model, run_cfg, *arrays)
+        for batch in (4, n):
+            assert np.array_equal(logits_at(batch), logits_at(chunk)), (n, batch)
+            monkeypatch.setattr(cli, "EVAL_CHUNK", batch)
+            loss_b, rep_b = cli._evaluate_arrays(model, run_cfg, *arrays)
+            assert loss_b == loss_c
+            assert (rep_b.n, rep_b.acc, rep_b.macro_recall, rep_b.macro_fscore, rep_b.per_type) == (
+                rep_c.n, rep_c.acc, rep_c.macro_recall, rep_c.macro_fscore, rep_c.per_type
+            )
+            assert np.array_equal(rep_b.confusion, rep_c.confusion)
+
+
+def test_forward_logits_on_raw_images_match_the_feature_path(trained_mini, mini_corpus):
+    # Evaluation forwards features made once per split; forward_logits
+    # featurizes its raw images per call.  The two must agree bitwise, since
+    # an outside check counts argmax hits with forward_logits and compares
+    # them with the accuracies evaluation writes.
+    config_text, vocab_lines, label_lines, tensors = load_checkpoint(
+        trained_mini["out"] / CHECKPOINT_NAME
     )
-    assert np.array_equal(rep4.confusion, rep64.confusion)
+    cfg = parse_config(config_text)
+    cnn = restore_model(cfg.to_model_config(len(vocab_lines), len(label_lines)), tensors)
+    vit_cfg = replace(cfg, vision_backend="vit_lite", order="early_vision")
+    vit = init_params(vit_cfg.to_model_config(len(vocab_lines), len(label_lines)), 0)
+    ds = mini_corpus["test"]
+    vocab = Vocabulary.from_lines(vocab_lines)
+    images = load_images(ds)
+    for model, run_cfg in ((cnn, cfg), (vit, vit_cfg)):
+        feats, qids = cli._prepare_arrays(run_cfg, vocab, ds, ds.samples)[:2]
+        with ad.no_grad():
+            for lo in range(0, len(qids), cli.EVAL_CHUNK):
+                hi = lo + cli.EVAL_CHUNK
+                raw = forward_logits(images[lo:hi], qids[lo:hi], model).data
+                assert np.array_equal(raw, feature_logits(feats[lo:hi], qids[lo:hi], model).data)
 
 
 def test_eval_after_overfit_scores_train_set_near_one(tmp_path):
@@ -412,3 +456,22 @@ def test_exit_code_2_on_label_map_mismatch(trained_mini, tmp_path):
         "--out", str(tmp_path / "mout"),
     ])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is a test dependency only (the conv oracle); the package must
+    # import and run with numpy alone.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, vqagpt.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

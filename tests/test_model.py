@@ -15,6 +15,7 @@ from vqagpt.model import (
     build_sequence,
     classify,
     decoder_forward,
+    feature_logits,
     forward_logits,
     init_params,
     load_checkpoint,
@@ -22,7 +23,7 @@ from vqagpt.model import (
     save_checkpoint,
     train_step,
 )
-from vqagpt.tokenizers import PAD_ID, VisionTokenizerConfig
+from vqagpt.tokenizers import PAD_ID, VisionTokenizerConfig, image_features
 
 from oracles import gelu_reference, softmax_reference
 
@@ -228,7 +229,7 @@ def test_readout_position_modality_per_order():
             )
         )
         m = init_params(cfg, seed=13, dtype=np.float64)
-        seq = build_sequence(imgs, qids, m)
+        seq = build_sequence(image_features(imgs, cfg.tokenizer, np.float64), qids, m)
         assert seq.modality[-1] == want_last
         assert seq.length == 3 + 4
 
@@ -251,7 +252,7 @@ def test_early_vision_logits_ignore_padding_positions():
     key_pad = np.concatenate(
         [np.zeros((2, n_vision), dtype=bool), qids == PAD_ID], axis=1
     )
-    seq = build_sequence(imgs, qids, m)
+    seq = build_sequence(image_features(imgs, cfg.tokenizer, np.float64), qids, m)
     assert seq.modality[-1] == WORD_TYPE
     with ad.no_grad():
         base = classify(seq, m, key_pad=key_pad).data
@@ -288,20 +289,22 @@ def test_argmax_ties_break_toward_lowest_class():
 # train step
 
 
-def batch_for(cfg, rng, n=4):
+def batch_for(m, rng, n=4):
+    """A train batch for model ``m``: image features, question ids, labels."""
+    cfg = m.config
     imgs = rng.random((n, cfg.tokenizer.image_size, cfg.tokenizer.image_size, 3))
     qids = rng.integers(0, cfg.vocab_size, (n, 3))
     labels = rng.integers(0, cfg.num_classes, n)
-    return imgs, qids, labels
+    return image_features(imgs, cfg.tokenizer, m.flat.dtype), qids, labels
 
 
 def test_initial_loss_is_near_log_num_classes():
     cfg = small_config(num_classes=5)
     m = init_params(cfg, seed=16, dtype=np.float64)
     rng = np.random.default_rng(17)
-    imgs, qids, labels = batch_for(cfg, rng, n=32)
+    feats, qids, labels = batch_for(m, rng, n=32)
     with ad.no_grad():
-        logits = forward_logits(imgs, qids, m)
+        logits = feature_logits(feats, qids, m)
         loss = ad.cross_entropy(logits, labels)
     assert abs(float(loss.data) - np.log(5)) < 0.05
 
@@ -310,11 +313,11 @@ def test_train_step_returns_pre_step_loss_and_zero_lr_freezes_params():
     cfg = small_config()
     m = init_params(cfg, seed=18, dtype=np.float64)
     rng = np.random.default_rng(19)
-    batch = batch_for(cfg, rng)
+    batch = batch_for(m, rng)
     before = {k: v.data.copy() for k, v in m.params.items()}
     with ad.no_grad():
         expected_loss = float(
-            ad.cross_entropy(forward_logits(batch[0], batch[1], m), batch[2]).data
+            ad.cross_entropy(feature_logits(batch[0], batch[1], m), batch[2]).data
         )
     got = train_step(batch, m, AdamState(lr=0.0))
     assert got == pytest.approx(expected_loss, rel=0, abs=1e-12)
@@ -326,7 +329,7 @@ def test_train_step_moves_parameters_and_reduces_loss():
     cfg = small_config()
     m = init_params(cfg, seed=20, dtype=np.float64)
     rng = np.random.default_rng(21)
-    batch = batch_for(cfg, rng, n=8)
+    batch = batch_for(m, rng, n=8)
     opt = AdamState(lr=3e-3)
     first = train_step(batch, m, opt)
     losses = [train_step(batch, m, opt) for _ in range(60)]
@@ -337,9 +340,9 @@ def test_train_step_label_range_error():
     cfg = small_config(num_classes=5)
     m = init_params(cfg, seed=22, dtype=np.float64)
     rng = np.random.default_rng(23)
-    imgs, qids, _ = batch_for(cfg, rng, n=2)
+    feats, qids, _ = batch_for(m, rng, n=2)
     with pytest.raises(ValueError, match="label out of range"):
-        train_step((imgs, qids, np.array([0, 5])), m, AdamState())
+        train_step((feats, qids, np.array([0, 5])), m, AdamState())
 
 
 def test_train_step_makes_one_adam_kernel_call(monkeypatch):
@@ -353,7 +356,7 @@ def test_train_step_makes_one_adam_kernel_call(monkeypatch):
     monkeypatch.setattr(kernels, "adam_update", counting)
     cfg = small_config()
     m = init_params(cfg, seed=30, dtype=np.float64)
-    train_step(batch_for(cfg, np.random.default_rng(31)), m, AdamState())
+    train_step(batch_for(m, np.random.default_rng(31)), m, AdamState())
     assert sizes == [m.param_count()]
 
 
@@ -368,7 +371,7 @@ def test_parameter_outside_the_loss_graph_stays_bitwise_unchanged():
     opt = AdamState(lr=1e-2)
     rng = np.random.default_rng(33)
     for _ in range(3):
-        train_step(batch_for(cfg, rng), m, opt)
+        train_step(batch_for(m, rng), m, opt)
     assert m.params["emb.type"].data.tobytes() == before["emb.type"].tobytes()
     for k, v in m.params.items():
         if k != "emb.type":
@@ -408,7 +411,7 @@ def test_parameters_and_gradients_are_views_of_two_flat_buffers(tmp_path):
     assert restored.flat.tobytes() == m.flat.tobytes()
     # the views are what Adam moves: a restored model must train
     before = {k: v.data.copy() for k, v in restored.params.items()}
-    train_step(batch_for(cfg, np.random.default_rng(27)), restored, AdamState(lr=1e-2))
+    train_step(batch_for(restored, np.random.default_rng(27)), restored, AdamState(lr=1e-2))
     for k, v in restored.params.items():
         assert not np.array_equal(v.data, before[k]), k
 

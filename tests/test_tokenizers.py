@@ -13,6 +13,8 @@ from vqagpt.tokenizers import (
     Vocabulary,
     build_vocab,
     encode_images,
+    feature_shape,
+    image_features,
     init_tokenizer_params,
     tokenize_question,
 )
@@ -119,6 +121,12 @@ def rand_image(rng, size):
     return rng.random((size, size, 3)).astype(np.float64)
 
 
+def encode(imgs, cfg, params):
+    """Both tokenizer stages on raw images, as ``model.forward_logits`` runs them."""
+    dtype = next(iter(params.values())).data.dtype
+    return encode_images(image_features(imgs, cfg, dtype), cfg, params)
+
+
 def permute_patches(img, g, perm):
     """Rearrange the g*g patch blocks of img by perm (row-major indexing)."""
     p = img.shape[0] // g
@@ -137,8 +145,8 @@ def test_token_count_is_grid_squared_and_deterministic(cfg):
     rng = np.random.default_rng(0)
     params = init_tokenizer_params(cfg, np.random.default_rng(1), np.float64)
     img = rand_image(rng, cfg.image_size)
-    a = encode_images(img[None], cfg, params)[0]
-    b = encode_images(img.copy()[None], cfg, params)[0]
+    a = encode(img[None], cfg, params)[0]
+    b = encode(img.copy()[None], cfg, params)[0]
     assert a.shape == (cfg.patch_grid**2, cfg.token_dim)
     assert np.array_equal(a.data, b.data)
 
@@ -160,7 +168,7 @@ def test_vit_zero_init_gives_zero_tokens():
     for t in params.values():
         t.data[...] = 0.0
     img = rand_image(np.random.default_rng(2), cfg.image_size)
-    out = encode_images(img[None], cfg, params)[0]
+    out = encode(img[None], cfg, params)[0]
     assert np.all(out.data == 0.0)
 
 
@@ -170,8 +178,8 @@ def test_vit_internal_pose_changes_swapped_token_multiset():
     rng = np.random.default_rng(4)
     img = rand_image(rng, cfg.image_size)
     swapped = permute_patches(img, cfg.patch_grid, [1, 0, 2, 3])
-    tok_a = encode_images(img[None], cfg, params)[0].data
-    tok_b = encode_images(swapped[None], cfg, params)[0].data
+    tok_a = encode(img[None], cfg, params)[0].data
+    tok_b = encode(swapped[None], cfg, params)[0].data
     sort = lambda m: m[np.lexsort(m.T[::-1])]
     assert not np.allclose(sort(tok_a), sort(tok_b))
 
@@ -181,11 +189,11 @@ def test_vit_pose_off_is_patch_permutation_equivariant():
     params = init_tokenizer_params(cfg, np.random.default_rng(5), np.float64)
     rng = np.random.default_rng(6)
     img = rand_image(rng, cfg.image_size)
-    base = encode_images(img[None], cfg, params)[0].data
+    base = encode(img[None], cfg, params)[0].data
     for _ in range(5):
         perm = rng.permutation(cfg.patch_grid**2)
         shuffled = permute_patches(img, cfg.patch_grid, perm)
-        got = encode_images(shuffled[None], cfg, params)[0].data
+        got = encode(shuffled[None], cfg, params)[0].data
         assert np.allclose(got, base[perm], atol=1e-12, rtol=0)
 
 
@@ -203,7 +211,7 @@ def test_vit_tokens_project_channel_major_patch_rows():
         block = x[r * p : (r + 1) * p, c * p : (c + 1) * p]
         row = [block[i, j, ch] for ch in range(3) for i in range(p) for j in range(p)]
         expected[k] = np.array(row) @ params["proj_w"].data + params["proj_b"].data
-    got = encode_images(img[None], cfg, params)[0].data
+    got = encode(img[None], cfg, params)[0].data
     assert np.allclose(got, expected, atol=1e-12, rtol=0)
 
 
@@ -212,18 +220,19 @@ def test_encode_images_batch_matches_single():
         params = init_tokenizer_params(cfg, np.random.default_rng(9), np.float64)
         rng = np.random.default_rng(10)
         imgs = np.stack([rand_image(rng, cfg.image_size) for _ in range(3)])
-        batch = encode_images(imgs, cfg, params).data
+        batch = encode(imgs, cfg, params).data
         for i in range(3):
-            single = encode_images(imgs[i][None], cfg, params)[0].data
+            single = encode(imgs[i][None], cfg, params)[0].data
             assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
 
 
-def test_encode_images_casts_to_param_dtype():
+def test_image_features_cast_to_the_given_dtype():
     cfg = vit_cfg()
     params = init_tokenizer_params(cfg, np.random.default_rng(11), np.float32)
     img = rand_image(np.random.default_rng(12), cfg.image_size)  # float64 in
-    out = encode_images(img[None], cfg, params)[0]
-    assert out.data.dtype == np.float32
+    feats = image_features(img[None], cfg, np.float32)
+    assert feats.dtype == np.float32
+    assert encode_images(feats, cfg, params).data.dtype == np.float32
 
 
 def test_wrong_image_size_errors():
@@ -231,9 +240,25 @@ def test_wrong_image_size_errors():
     params = init_tokenizer_params(cfg, np.random.default_rng(0), np.float32)
     bad = np.zeros((8, 8, 3))
     with pytest.raises(DataError, match="16"):
-        encode_images(bad[None], cfg, params)
+        image_features(bad[None], cfg, np.float32)
     with pytest.raises(DataError):
-        encode_images(np.zeros((16, 16))[None], cfg, params)
+        image_features(np.zeros((16, 16))[None], cfg, np.float32)
+    # raw images are not features: the learned stage names the missing step
+    with pytest.raises(DataError, match="image_features"):
+        encode_images(np.zeros((1, 16, 16, 3), dtype=np.float32), cfg, params)
+
+
+@pytest.mark.parametrize("cfg", [cnn_cfg(), vit_cfg()])
+def test_image_features_in_64_sample_chunks_match_per_batch_features(cfg):
+    # A split featurized once in 64-sample chunks, as training and
+    # evaluation store it, holds bitwise the features of any batch of it.
+    rng = np.random.default_rng(40)
+    imgs = rng.random((150, cfg.image_size, cfg.image_size, 3), dtype=np.float32)
+    split = np.empty((len(imgs),) + feature_shape(cfg), dtype=np.float32)
+    for lo in range(0, len(imgs), 64):
+        split[lo : lo + 64] = image_features(imgs[lo : lo + 64], cfg, np.float32)
+    for idx in (rng.permutation(150)[:4], np.arange(1), np.arange(149, 150), np.arange(64, 128)):
+        assert np.array_equal(split[idx], image_features(imgs[idx], cfg, np.float32))
 
 
 def test_config_validation_errors():
