@@ -82,29 +82,8 @@ class Tensor:
 
     # -- operator sugar ------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self))
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("tensor/tensor division is not supported")
-        return mul(self, _as_tensor(1.0 / float(scalar), self))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)

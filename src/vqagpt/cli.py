@@ -99,11 +99,11 @@ def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
     """
     if not samples:
         raise DataError("no samples to prepare")
-    tok_cfg = cfg.tokenizer_config()
-    feats = np.empty((len(samples),) + feature_shape(tok_cfg), dtype=_dtype_for(cfg))
+    model_cfg = cfg.to_model_config(vocab.size)
+    feats = np.empty((len(samples),) + feature_shape(model_cfg), dtype=_dtype_for(cfg))
     for lo in range(0, len(samples), EVAL_CHUNK):
         chunk = load_images(dataset, samples[lo : lo + EVAL_CHUNK])
-        feats[lo : lo + len(chunk)] = image_features(chunk, tok_cfg, feats.dtype)
+        feats[lo : lo + len(chunk)] = image_features(chunk, model_cfg, feats.dtype)
     qids = np.stack(
         [tokenize_question(s.question, vocab, cfg.max_question_len) for s in samples]
     )
@@ -153,7 +153,10 @@ def _load_split(cfg: RunConfig):
 
 
 def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
-    """Core training loop; returns (model, vocab, per-epoch rows)."""
+    """Core training loop; returns (model, vocab, per-epoch rows, final test report).
+
+    The test report is the last snapshot's, taken of the returned model.
+    """
     dtype = _dtype_for(cfg)
     train_samples = list(train_ds.samples)
     if cfg.rephrased_holdout:
@@ -193,9 +196,10 @@ def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
                 f"epoch {epoch}/{cfg.epochs}  train_loss={float(row['train_loss']):.6f}"
                 f"  train_acc={row['train_acc']}  val_acc={row['val_acc']}"
             )
+        return va_rep
 
     if cfg.epochs == 0:
-        snapshot(0, None)
+        test_report = snapshot(0, None)
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(len(train_samples))
         total = 0.0
@@ -203,8 +207,8 @@ def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
             idx = perm[lo : lo + cfg.batch_size]
             loss = train_step((feats[idx], qids[idx], labels[idx]), model, opt)
             total += loss * len(idx)
-        snapshot(epoch, total / len(perm))
-    return model, vocab, rows
+        test_report = snapshot(epoch, total / len(perm))
+    return model, vocab, rows, test_report
 
 
 def _write_csv(path, header, rows) -> None:
@@ -239,7 +243,7 @@ def cmd_train(args) -> int:
     train_ds, test_ds = _load_split(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, vocab, rows = _train_on(cfg, train_ds, test_ds, log=print)
+    model, vocab, rows, _ = _train_on(cfg, train_ds, test_ds, log=print)
     header = [
         "epoch", "train_loss", "train_acc", "train_recall", "train_fscore",
         "val_loss", "val_acc", "val_recall", "val_fscore",
@@ -339,9 +343,7 @@ def cmd_ablate(args) -> int:
                 label = f"{order}/{pose}/{backend}"
                 print(f"[ablate] training cell {label}")
                 try:
-                    model, vocab, _ = _train_on(cell_cfg, train_ds, test_ds)
-                    arrays = _prepare_arrays(cell_cfg, vocab, test_ds, test_ds.samples)
-                    _, report = _evaluate_arrays(model, cell_cfg, *arrays)
+                    _, _, _, report = _train_on(cell_cfg, train_ds, test_ds)
                 except Exception as exc:  # keep remaining cells running
                     rows.append(list(cell) + [cfg.use_type_embedding, "overall", "",
                                               "", "", "", f"error: {exc}"])

@@ -7,6 +7,10 @@ equal config (parse -> serialize -> parse is a fixed point).  Two retired
 keys, which checkpoints written before their removal still carry, parse
 at the values such a run could hold and are then dropped.
 
+``ModelConfig`` is the slice a model is built from: the architecture,
+sequencing and vision tokenizer keys under their ``RunConfig`` names,
+plus the vocabulary size, validated in one place.
+
 Defaults follow the source training recipe (80 epochs, batch 64,
 lr 1e-5, zero vision pose).  The "desk" profile overrides them with
 settings sized for minutes-scale runs on synthetic data; the "paper"
@@ -17,10 +21,69 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .embedding import SequencingConfig
 from .errors import ConfigError
-from .model import ModelConfig
-from .tokenizers import VisionTokenizerConfig
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """What a model is built from: the ``RunConfig`` keys that shape it, plus the vocab size.
+
+    Each field but ``vocab_size`` has the name, type and default of the
+    ``RunConfig`` key that ``RunConfig.to_model_config`` copies into it.
+    """
+
+    d: int = 64
+    n_layers: int = 2
+    n_heads: int = 4
+    mlp_ratio: int = 4
+    max_pos: int = 64
+    num_classes: int = 11
+    order: str = "early_word"  # early_word | early_vision
+    vision_pose_mode: str = "zero"  # zero | actual
+    use_type_embedding: bool = True
+    vision_backend: str = "cnn_lite"  # cnn_lite | vit_lite
+    image_size: int = 32
+    patch_grid: int = 4
+    token_dim: int = 64
+    vit_internal_pose: bool = False
+    vocab_size: int = 2
+
+    def validate(self) -> None:
+        if self.d % self.n_heads != 0:
+            raise ConfigError(f"d={self.d} not divisible by n_heads={self.n_heads}")
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.vocab_size < 2:
+            raise ConfigError("vocab_size must cover at least PAD and UNK")
+        if self.order not in ("early_word", "early_vision"):
+            raise ConfigError(f"unknown sequencing order {self.order!r}")
+        if self.vision_pose_mode not in ("zero", "actual"):
+            raise ConfigError(f"unknown vision_pose_mode {self.vision_pose_mode!r}")
+        if self.vision_backend not in ("cnn_lite", "vit_lite"):
+            raise ConfigError(f"unknown vision backend {self.vision_backend!r}")
+        if self.token_dim < 1:
+            raise ConfigError(f"token_dim must be >= 1, got {self.token_dim}")
+        if self.patch_grid < 1 or self.image_size % self.patch_grid != 0:
+            raise ConfigError(
+                f"image_size {self.image_size} not divisible by patch_grid {self.patch_grid}"
+            )
+        if self.vision_backend == "cnn_lite":
+            half = self.image_size // 2
+            if self.image_size % 2 != 0 or half % self.patch_grid != 0:
+                raise ConfigError(
+                    f"cnn_lite needs image_size/2 divisible by patch_grid; "
+                    f"got image_size {self.image_size}, patch_grid {self.patch_grid}"
+                )
+
+    @property
+    def n_tokens(self) -> int:
+        """Vision tokens per image: one per cell of the patch grid."""
+        return self.patch_grid * self.patch_grid
+
+    @property
+    def seq_len_limit(self) -> int:
+        # Word positions draw on the pose table; vision adds g*g tokens.
+        return self.max_pos + self.n_tokens
 
 
 @dataclass(frozen=True)
@@ -80,37 +143,16 @@ class RunConfig:
                 raise ConfigError(f"{key} must be > 0")
         if not (0.0 < self.test_fraction < 1.0):
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        # Delegate enum and divisibility checks to the structured configs.
-        self.to_model_config(vocab_size=2, num_classes=self.num_classes).validate()
-
-    def sequencing_config(self) -> SequencingConfig:
-        return SequencingConfig(
-            order=self.order,
-            vision_pose_mode=self.vision_pose_mode,
-            use_type_embedding=self.use_type_embedding,
-        )
-
-    def tokenizer_config(self) -> VisionTokenizerConfig:
-        return VisionTokenizerConfig(
-            backend=self.vision_backend,
-            image_size=self.image_size,
-            patch_grid=self.patch_grid,
-            token_dim=self.token_dim,
-            vit_internal_pose=self.vit_internal_pose,
-        )
+        # The model keys' enum and divisibility checks live with ModelConfig.
+        self.to_model_config(vocab_size=2).validate()
 
     def to_model_config(self, vocab_size: int, num_classes: int = None) -> ModelConfig:
-        return ModelConfig(
-            d=self.d,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            mlp_ratio=self.mlp_ratio,
-            max_pos=self.max_pos,
-            num_classes=self.num_classes if num_classes is None else num_classes,
-            sequencing=self.sequencing_config(),
-            tokenizer=self.tokenizer_config(),
-            vocab_size=vocab_size,
-        )
+        """The model keys of this config; ``num_classes``, when given, overrides its own."""
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
+                  if f.name != "vocab_size"}
+        if num_classes is not None:
+            shared["num_classes"] = num_classes
+        return ModelConfig(vocab_size=vocab_size, **shared)
 
 
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}

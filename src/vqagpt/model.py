@@ -23,24 +23,21 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import ModelConfig
 from .embedding import (
-    EmbeddingTables,
-    SequencingConfig,
     TokenSequence,
     embed_vision,
     embed_words,
     init_embedding_tables,
     sequence,
 )
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError
 from .tokenizers import (
     PAD_ID,
-    VisionTokenizerConfig,
     encode_images,
     image_features,
     init_tokenizer_params,
@@ -49,45 +46,19 @@ from .tokenizers import (
 MASK_VALUE = -1e9
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    d: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    mlp_ratio: int = 4
-    max_pos: int = 64
-    num_classes: int = 11
-    sequencing: SequencingConfig = field(default_factory=SequencingConfig)
-    tokenizer: VisionTokenizerConfig = field(default_factory=VisionTokenizerConfig)
-    vocab_size: int = 2
-
-    def validate(self) -> None:
-        if self.d % self.n_heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by n_heads={self.n_heads}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.vocab_size < 2:
-            raise ConfigError("vocab_size must cover at least PAD and UNK")
-        self.sequencing.validate()
-        self.tokenizer.validate()
-
-    @property
-    def seq_len_limit(self) -> int:
-        # Word positions draw on the pose table; vision adds g*g tokens.
-        return self.max_pos + self.tokenizer.n_tokens
-
-
 class VQAModel:
     """Parameter container plus the forward passes defined over it.
 
-    Each parameter's ``.data`` and ``.grad`` are views into two contiguous
-    buffers, ``flat`` and ``grad``, packed in the insertion order of ``params``.
+    ``params`` is the one registry of parameters: ``emb.*`` for the
+    embedding tables, ``tok.*`` for the vision tokenizer, then the blocks
+    and the head.  Each parameter's ``.data`` and ``.grad`` are views into
+    two contiguous buffers, ``flat`` and ``grad``, packed in the insertion
+    order of ``params``.
     """
 
-    def __init__(self, config: ModelConfig, params: dict, tables: EmbeddingTables):
+    def __init__(self, config: ModelConfig, params: dict):
         self.config = config
         self.params = params  # name -> Tensor viewing flat/grad, in packing order
-        self.tables = tables  # holds the same Tensors as the emb.* params
         self.flat = np.concatenate([p.data.ravel() for p in params.values()])
         self.grad = np.zeros_like(self.flat)
         lo = 0
@@ -96,10 +67,6 @@ class VQAModel:
             p.data = self.flat[lo:hi].reshape(shape)
             p.grad = self.grad[lo:hi].reshape(shape)
             lo = hi
-
-    @property
-    def tok_params(self) -> dict:
-        return {k[len("tok."):]: v for k, v in self.params.items() if k.startswith("tok.")}
 
     def param_count(self) -> int:
         return self.flat.size
@@ -135,19 +102,8 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> VQAModel:
 
     d = config.d
     hidden = config.mlp_ratio * d
-    tables = init_embedding_tables(
-        config.vocab_size, d, config.max_pos, config.tokenizer.token_dim, rng, dtype
-    )
-    params: dict = {
-        "emb.word": tables.word_table,
-        "emb.type": tables.type_table,
-        "emb.pos": tables.pos_table,
-    }
-    if tables.proj_w is not None:
-        params["emb.proj_w"] = tables.proj_w
-        params["emb.proj_b"] = tables.proj_b
-    for name, tensor in init_tokenizer_params(config.tokenizer, rng, dtype).items():
-        params[f"tok.{name}"] = tensor
+    params = init_embedding_tables(config, rng, dtype)
+    params.update(init_tokenizer_params(config, rng, dtype))
     for i in range(config.n_layers):
         params[f"h{i}.ln1_g"] = ones(d)
         params[f"h{i}.ln1_b"] = zeros(d)
@@ -167,7 +123,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> VQAModel:
     params["head.fc1_b"] = zeros(d)
     params["head.fc2_w"] = w(d, config.num_classes)
     params["head.fc2_b"] = zeros(config.num_classes)
-    return VQAModel(config, params, tables)
+    return VQAModel(config, params)
 
 
 def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Tensor:
@@ -267,19 +223,17 @@ def build_sequence(
     ``features`` is ``tokenizers.image_features`` of the (B, H, W, 3) images.
     """
     cfg = model.config
-    vision_raw = encode_images(features, cfg.tokenizer, model.tok_params)
-    words_e = embed_words(question_ids, model.tables, cfg.sequencing)
-    vision_e = embed_vision(vision_raw, model.tables, cfg.sequencing)
-    return sequence(words_e, vision_e, cfg.sequencing)
+    vision_raw = encode_images(features, cfg, model.params)
+    words_e = embed_words(question_ids, model.params, cfg)
+    vision_e = embed_vision(vision_raw, model.params, cfg)
+    return sequence(words_e, vision_e, cfg)
 
 
 def _padding_keys(question_ids: np.ndarray, model: VQAModel) -> np.ndarray:
     """Boolean (B, L) marker of PAD word positions in sequence order."""
     word_pad = np.asarray(question_ids) == PAD_ID
-    vision = np.zeros(
-        (word_pad.shape[0], model.config.tokenizer.n_tokens), dtype=bool
-    )
-    if model.config.sequencing.order == "early_word":
+    vision = np.zeros((word_pad.shape[0], model.config.n_tokens), dtype=bool)
+    if model.config.order == "early_word":
         return np.concatenate([word_pad, vision], axis=1)
     return np.concatenate([vision, word_pad], axis=1)
 
@@ -297,7 +251,7 @@ def forward_logits(images: np.ndarray, question_ids: np.ndarray, model: VQAModel
     those of features computed once per dataset, as training and
     evaluation do.
     """
-    features = image_features(images, model.config.tokenizer, model.flat.dtype)
+    features = image_features(images, model.config, model.flat.dtype)
     return feature_logits(features, question_ids, model)
 
 

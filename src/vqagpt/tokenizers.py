@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError
+from .config import ModelConfig
+from .errors import DataError
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -109,36 +110,6 @@ def tokenize_question(q: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
 # vision tokenizers
 
 
-@dataclass(frozen=True)
-class VisionTokenizerConfig:
-    backend: str = "cnn_lite"  # cnn_lite | vit_lite
-    image_size: int = 32
-    patch_grid: int = 4
-    token_dim: int = 64
-    vit_internal_pose: bool = False
-
-    def validate(self) -> None:
-        if self.backend not in ("cnn_lite", "vit_lite"):
-            raise ConfigError(f"unknown vision backend {self.backend!r}")
-        if self.token_dim < 1:
-            raise ConfigError(f"token_dim must be >= 1, got {self.token_dim}")
-        if self.patch_grid < 1 or self.image_size % self.patch_grid != 0:
-            raise ConfigError(
-                f"image_size {self.image_size} not divisible by patch_grid {self.patch_grid}"
-            )
-        if self.backend == "cnn_lite":
-            half = self.image_size // 2
-            if self.image_size % 2 != 0 or half % self.patch_grid != 0:
-                raise ConfigError(
-                    f"cnn_lite needs image_size/2 divisible by patch_grid; "
-                    f"got image_size {self.image_size}, patch_grid {self.patch_grid}"
-                )
-
-    @property
-    def n_tokens(self) -> int:
-        return self.patch_grid * self.patch_grid
-
-
 _CNN_STEM_CH = 16
 _CNN_BANK_CH = 8  # 3 color + 4 edge orientations + 1 laplacian
 
@@ -151,7 +122,11 @@ _KERN_LAPLACE = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=np.float64) /
 
 
 def _corr3(padded: np.ndarray, kern: np.ndarray, size: int) -> np.ndarray:
-    """3x3 cross-correlation over an edge-padded (B, size+2, size+2) map."""
+    """3x3 cross-correlation over an edge-padded (B, size+2, size+2) map.
+
+    The kernel is cast to the map's dtype, so an f32 map is summed in f32.
+    """
+    kern = kern.astype(padded.dtype, copy=False)
     out = np.zeros((padded.shape[0], size, size), dtype=padded.dtype)
     for i in range(3):
         for j in range(3):
@@ -184,7 +159,7 @@ def _fixed_feature_maps(x: np.ndarray) -> np.ndarray:
     return np.concatenate([pooled, np.stack(edges, axis=1)], axis=1)
 
 
-def init_tokenizer_params(cfg: VisionTokenizerConfig, rng: np.random.Generator, dtype) -> dict:
+def init_tokenizer_params(cfg: ModelConfig, rng: np.random.Generator, dtype) -> dict:
     """Create the learned tensors for the configured backend.
 
     Conv and projection weights use fan-in scaling, biases zero, the
@@ -192,8 +167,8 @@ def init_tokenizer_params(cfg: VisionTokenizerConfig, rng: np.random.Generator, 
     Uniform tiny init starves the vision path: stacked 0.02-scale stages
     shrink features to ~1e-3 and the decoder learns to ignore the image.
     Insertion order is fixed so consuming rng draws is deterministic.
+    The names are those of the model's ``tok.*`` parameters.
     """
-    cfg.validate()
 
     def w(shape, fan_in):
         std = math.sqrt(2.0 / fan_in)
@@ -210,26 +185,26 @@ def init_tokenizer_params(cfg: VisionTokenizerConfig, rng: np.random.Generator, 
         return ad.Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
     params: dict = {}
-    if cfg.backend == "cnn_lite":
+    if cfg.vision_backend == "cnn_lite":
         k = (cfg.image_size // 2) // cfg.patch_grid
         ch = _CNN_STEM_CH
         bank = _CNN_BANK_CH
-        params["res_a_w"] = w((ch, bank, 3, 3), fan_in=bank * 9)
-        params["res_a_b"] = zeros(ch)
-        params["res_b_w"] = w((bank, ch, 3, 3), fan_in=ch * 9)
-        params["res_b_b"] = zeros(bank)
-        params["out_w"] = w((cfg.token_dim, bank, k, k), fan_in=bank * k * k)
-        params["out_b"] = zeros(cfg.token_dim)
+        params["tok.res_a_w"] = w((ch, bank, 3, 3), fan_in=bank * 9)
+        params["tok.res_a_b"] = zeros(ch)
+        params["tok.res_b_w"] = w((bank, ch, 3, 3), fan_in=ch * 9)
+        params["tok.res_b_b"] = zeros(bank)
+        params["tok.out_w"] = w((cfg.token_dim, bank, k, k), fan_in=bank * k * k)
+        params["tok.out_b"] = zeros(cfg.token_dim)
     else:
         p = cfg.image_size // cfg.patch_grid
-        params["proj_w"] = w((3 * p * p, cfg.token_dim), fan_in=3 * p * p)
-        params["proj_b"] = zeros(cfg.token_dim)
+        params["tok.proj_w"] = w((3 * p * p, cfg.token_dim), fan_in=3 * p * p)
+        params["tok.proj_b"] = zeros(cfg.token_dim)
         if cfg.vit_internal_pose:
-            params["pose"] = table(cfg.n_tokens, cfg.token_dim)
+            params["tok.pose"] = table(cfg.n_tokens, cfg.token_dim)
     return params
 
 
-def _check_image_batch(imgs: np.ndarray, cfg: VisionTokenizerConfig) -> np.ndarray:
+def _check_image_batch(imgs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     imgs = np.asarray(imgs)
     if imgs.ndim != 4 or imgs.shape[3] != 3:
         raise DataError(f"expected image batch (B, H, W, 3), got shape {imgs.shape}")
@@ -241,16 +216,16 @@ def _check_image_batch(imgs: np.ndarray, cfg: VisionTokenizerConfig) -> np.ndarr
     return np.ascontiguousarray(imgs.transpose(0, 3, 1, 2))  # to (B, 3, H, W)
 
 
-def feature_shape(cfg: VisionTokenizerConfig) -> tuple:
+def feature_shape(cfg: ModelConfig) -> tuple:
     """Per-sample shape of ``image_features``: the learned stage's input."""
-    if cfg.backend == "cnn_lite":
+    if cfg.vision_backend == "cnn_lite":
         half = cfg.image_size // 2
         return (_CNN_BANK_CH, half, half)
     p = cfg.image_size // cfg.patch_grid
     return (cfg.n_tokens, 3 * p * p)
 
 
-def image_features(imgs: np.ndarray, cfg: VisionTokenizerConfig, dtype) -> np.ndarray:
+def image_features(imgs: np.ndarray, cfg: ModelConfig, dtype) -> np.ndarray:
     """Parameter-free image stage: (B, H, W, 3) floats -> (B, *feature_shape(cfg)).
 
     It depends on the image alone, and on each sample alone, so a caller
@@ -262,7 +237,7 @@ def image_features(imgs: np.ndarray, cfg: VisionTokenizerConfig, dtype) -> np.nd
     its frozen filter bank, and vit_lite cuts the image into patch rows.
     """
     x = 2.0 * _check_image_batch(imgs, cfg).astype(dtype, copy=False) - 1.0
-    if cfg.backend == "cnn_lite":
+    if cfg.vision_backend == "cnn_lite":
         return _fixed_feature_maps(x)
     # The patches tile the image, so patchify is a reshape and one transpose
     # copy: one row per patch, row-major over the grid, each row
@@ -273,7 +248,7 @@ def image_features(imgs: np.ndarray, cfg: VisionTokenizerConfig, dtype) -> np.nd
     return patches.reshape(x.shape[0], g * g, 3 * p * p)
 
 
-def encode_images(feats: np.ndarray, cfg: VisionTokenizerConfig, params: dict) -> ad.Tensor:
+def encode_images(feats: np.ndarray, cfg: ModelConfig, params: dict) -> ad.Tensor:
     """Learned tokenizer stage: ``image_features`` output -> (B, g*g, token_dim)."""
     feats = np.asarray(feats)
     if feats.shape[1:] != feature_shape(cfg):
@@ -284,18 +259,18 @@ def encode_images(feats: np.ndarray, cfg: VisionTokenizerConfig, params: dict) -
     g = cfg.patch_grid
     b = feats.shape[0]
     x = ad.Tensor(feats)
-    if cfg.backend == "cnn_lite":
+    if cfg.vision_backend == "cnn_lite":
         # Stage 1, the frozen bank, ran in image_features; stages 2
         # (residual pair) and 3 (grid-collapsing conv) are learned.
-        r = ad.gelu(ad.conv2d(x, params["res_a_w"], params["res_a_b"], stride=1, pad=1))
-        r = ad.conv2d(r, params["res_b_w"], params["res_b_b"], stride=1, pad=1)
+        r = ad.gelu(ad.conv2d(x, params["tok.res_a_w"], params["tok.res_a_b"], stride=1, pad=1))
+        r = ad.conv2d(r, params["tok.res_b_w"], params["tok.res_b_b"], stride=1, pad=1)
         h = ad.gelu(ad.add(x, r))
         k = (cfg.image_size // 2) // g
-        out = ad.conv2d(h, params["out_w"], params["out_b"], stride=k, pad=0)
+        out = ad.conv2d(h, params["tok.out_w"], params["tok.out_b"], stride=k, pad=0)
         # (B, token_dim, g, g) -> (B, g*g, token_dim), row-major over the grid
         out = ad.transpose(out, (0, 2, 3, 1))
         return ad.reshape(out, (b, g * g, cfg.token_dim))
-    tokens = ad.add(ad.matmul(x, params["proj_w"]), params["proj_b"])
+    tokens = ad.add(ad.matmul(x, params["tok.proj_w"]), params["tok.proj_b"])
     if cfg.vit_internal_pose:
-        tokens = ad.add(tokens, params["pose"])  # broadcasts over the batch
+        tokens = ad.add(tokens, params["tok.pose"])  # broadcasts over the batch
     return tokens

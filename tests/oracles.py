@@ -156,6 +156,51 @@ def reparse_answer(question: str, scene) -> str:
     raise AssertionError(f"unparseable question: {question!r}")
 
 
+# The cnn_lite frozen bank's 3x3 kernels, written out here on their own.
+_BANK_KERNELS = (
+    [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]],  # edge x
+    [[-1, -2, -1], [0, 0, 0], [1, 2, 1]],  # edge y
+    [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]],  # diagonal a
+    [[2, 1, 0], [1, 0, -1], [0, -1, -2]],  # diagonal b
+    [[0, 1, 0], [1, -4, 1], [0, 1, 0]],  # laplacian
+)
+
+
+def frozen_bank_reference(images: np.ndarray) -> np.ndarray:
+    """cnn_lite's frozen bank on raw (B, S, S, 3) images in [0, 1], pixel by pixel.
+
+    Recentre to [-1, 1], mean-pool 2x2 blocks, take luma, then the absolute
+    response of each kernel (divided by 4) over the edge-padded luma.  Out:
+    (B, 8, S/2, S/2), the three pooled colors then the five responses.
+    """
+    b, s = images.shape[0], images.shape[1]
+    half = s // 2
+    out = np.zeros((b, 8, half, half))
+    for n in range(b):
+        pooled = [[[0.0] * half for _ in range(half)] for _ in range(3)]
+        luma = [[0.0] * half for _ in range(half)]
+        for i in range(half):
+            for j in range(half):
+                for c in range(3):
+                    block = [2.0 * float(images[n, 2 * i + a, 2 * j + e, c]) - 1.0
+                             for a in (0, 1) for e in (0, 1)]
+                    pooled[c][i][j] = sum(block) / 4.0
+                    out[n, c, i, j] = pooled[c][i][j]
+                luma[i][j] = (0.299 * pooled[0][i][j] + 0.587 * pooled[1][i][j]
+                              + 0.114 * pooled[2][i][j])
+        for k, kern in enumerate(_BANK_KERNELS):
+            for i in range(half):
+                for j in range(half):
+                    acc = 0.0
+                    for a in range(3):
+                        for e in range(3):
+                            r = min(max(i + a - 1, 0), half - 1)  # edge padding
+                            c = min(max(j + e - 1, 0), half - 1)
+                            acc += kern[a][e] / 4.0 * luma[r][c]
+                    out[n, 3 + k, i, j] = abs(acc)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # small closed forms
 

@@ -26,14 +26,9 @@ from vqagpt.cli import (
     _prepare_arrays,
     main,
 )
-from vqagpt.config import RunConfig, apply_profile, serialize_config
+from vqagpt.config import ModelConfig, RunConfig, apply_profile, serialize_config
 from vqagpt.data import load_dataset
-from vqagpt.embedding import (
-    SequencingConfig,
-    embed_vision,
-    embed_words,
-    init_embedding_tables,
-)
+from vqagpt.embedding import embed_vision, embed_words, init_embedding_tables
 from vqagpt.metrics import compute_metrics
 from vqagpt.model import (
     TokenSequence,
@@ -163,7 +158,7 @@ def test_2_causality_suite(capfd):
                 tokenize_question("what shape sits at the top left cell", vocab, 8),
             ]
         )
-        feats = image_features(images, model.config.tokenizer, np.float64)
+        feats = image_features(images, model.config, np.float64)
         seq = build_sequence(feats, qids, model)
         with ad.no_grad():
             h_base = decoder_forward(seq, model).data
@@ -191,8 +186,8 @@ def test_2_causality_suite(capfd):
         img_a = rng.random((2, 8, 8, 3), dtype=np.float64)
         img_b = rng.random((2, 8, 8, 3), dtype=np.float64)
         with ad.no_grad():
-            feats_a = image_features(img_a, model.config.tokenizer, np.float64)
-            feats_b = image_features(img_b, model.config.tokenizer, np.float64)
+            feats_a = image_features(img_a, model.config, np.float64)
+            feats_b = image_features(img_b, model.config, np.float64)
             h_a = decoder_forward(build_sequence(feats_a, qids, model), model).data
             h_b = decoder_forward(build_sequence(feats_b, qids, model), model).data
         assert np.array_equal(h_a[:, :n_words], h_b[:, :n_words]), (
@@ -219,16 +214,15 @@ def test_2_causality_suite(capfd):
 def test_3_embedding_sum_suite(capfd):
     rng = np.random.default_rng(23)
     d, vocab_size, max_pos, m = 6, 9, 12, 4
-    tables = init_embedding_tables(
-        vocab_size, d, max_pos, token_dim=d,
-        rng=rng, dtype=np.float64,
+    cfg_zero = ModelConfig(
+        d=d, vocab_size=vocab_size, max_pos=max_pos, token_dim=d, vision_pose_mode="zero"
     )
-    wt = tables.word_table.data
-    tt = tables.type_table.data
-    pt = tables.pos_table.data
+    cfg_actual = replace(cfg_zero, vision_pose_mode="actual")
+    tables = init_embedding_tables(cfg_zero, rng=rng, dtype=np.float64)
+    wt = tables["emb.word"].data
+    tt = tables["emb.type"].data
+    pt = tables["emb.pos"].data
     ids = np.array([4, 0, 7], dtype=np.int64)
-    cfg_zero = SequencingConfig(vision_pose_mode="zero")
-    cfg_actual = SequencingConfig(vision_pose_mode="actual")
 
     # additivity, fixed association (type + pose) + token, bitwise
     words = embed_words(ids, tables, cfg_zero).data
@@ -248,17 +242,17 @@ def test_3_embedding_sum_suite(capfd):
     assert np.array_equal(actual_rows, expect_actual)
 
     # projection path active iff token width != embedding width
-    assert tables.proj_w is None and tables.proj_b is None
+    assert "emb.proj_w" not in tables and "emb.proj_b" not in tables
     wide = init_embedding_tables(
-        vocab_size, d, max_pos, token_dim=10,
+        replace(cfg_actual, token_dim=10),
         rng=np.random.default_rng(24), dtype=np.float64,
     )
-    assert wide.proj_w is not None and wide.proj_b is not None
+    assert "emb.proj_w" in wide and "emb.proj_b" in wide
     vis10 = np.asarray(rng.standard_normal((m, 10)))
     proj_rows = embed_vision(ad.Tensor(vis10), wide, cfg_actual).data
-    vx = vis10 @ wide.proj_w.data + wide.proj_b.data
+    vx = vis10 @ wide["emb.proj_w"].data + wide["emb.proj_b"].data
     expect_proj = np.stack(
-        [(wide.type_table.data[1] + wide.pos_table.data[1 + j]) + vx[j] for j in range(m)]
+        [(wide["emb.type"].data[1] + wide["emb.pos"].data[1 + j]) + vx[j] for j in range(m)]
     )
     assert np.array_equal(proj_rows, expect_proj)
     _verdict(

@@ -6,7 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from conftest import mini_run_config
 from vqagpt.cli import CHECKPOINT_NAME, EVAL_CSV, METRICS_CSV, main
 from vqagpt.config import (
     PROFILES,
+    ModelConfig,
     RunConfig,
     apply_profile,
     load_config_file,
@@ -173,6 +174,26 @@ def test_validate_rejects_bad_ranges():
     with pytest.raises(ConfigError, match="divisible"):
         replace(RunConfig(), d=30, n_heads=4).validate()
     RunConfig().validate()
+
+
+def test_model_config_fields_are_run_config_keys_that_to_model_config_copies():
+    run_fields = {f.name: f for f in fields(RunConfig)}
+    shared = [f for f in fields(ModelConfig) if f.name != "vocab_size"]
+    for f in shared:
+        assert f.name in run_fields, f.name
+        assert (f.type, f.default) == (run_fields[f.name].type, run_fields[f.name].default), f.name
+
+    def changed(v):
+        if isinstance(v, bool):
+            return not v
+        return v + 1 if isinstance(v, int) else v + "_x"
+
+    cfg = replace(RunConfig(), **{f.name: changed(f.default) for f in shared})
+    got = cfg.to_model_config(13)
+    assert got.vocab_size == 13
+    for f in shared:
+        assert getattr(got, f.name) == getattr(cfg, f.name) != f.default, f.name
+    assert cfg.to_model_config(13, 3).num_classes == 3
 
 
 def test_load_config_file_missing_path_errors(tmp_path):

@@ -8,11 +8,10 @@ that association, at both float32 and float64.
 import numpy as np
 import pytest
 
+from vqagpt.config import ModelConfig
 from vqagpt.embedding import (
     VISION_TYPE,
     WORD_TYPE,
-    EmbeddingTables,
-    SequencingConfig,
     embed_vision,
     embed_words,
     init_embedding_tables,
@@ -24,9 +23,13 @@ import vqagpt.autodiff as ad
 
 def make_tables(vocab=7, d=6, max_pos=9, token_dim=None, seed=0, dtype=np.float64):
     token_dim = d if token_dim is None else token_dim
-    return init_embedding_tables(
-        vocab, d, max_pos, token_dim, rng=np.random.default_rng(seed), dtype=dtype
-    )
+    cfg = ModelConfig(vocab_size=vocab, d=d, max_pos=max_pos, token_dim=token_dim)
+    return init_embedding_tables(cfg, rng=np.random.default_rng(seed), dtype=dtype)
+
+
+def dim(t):
+    """The embedding width d of a table set."""
+    return t["emb.pos"].shape[1]
 
 
 def seq_cfg(**kw):
@@ -36,7 +39,7 @@ def seq_cfg(**kw):
         use_type_embedding=True,
     )
     base.update(kw)
-    return SequencingConfig(**base)
+    return ModelConfig(**base)
 
 
 # ---------------------------------------------------------------------------
@@ -45,20 +48,20 @@ def seq_cfg(**kw):
 
 def test_embed_words_reduces_to_word_rows_when_other_tables_zero():
     t = make_tables()
-    t.type_table.data[...] = 0.0
-    t.pos_table.data[...] = 0.0
+    t["emb.type"].data[...] = 0.0
+    t["emb.pos"].data[...] = 0.0
     ids = np.array([3, 0, 5, 3])
     out = embed_words(ids, t, seq_cfg())
-    assert np.array_equal(out.data, t.word_table.data[ids])
+    assert np.array_equal(out.data, t["emb.word"].data[ids])
 
 
 def test_embed_words_reduces_to_pose_rows_when_other_tables_zero():
     t = make_tables()
-    t.type_table.data[...] = 0.0
-    t.word_table.data[...] = 0.0
+    t["emb.type"].data[...] = 0.0
+    t["emb.word"].data[...] = 0.0
     ids = np.array([2, 2, 2])
     out = embed_words(ids, t, seq_cfg())
-    assert np.array_equal(out.data, t.pos_table.data[:3])
+    assert np.array_equal(out.data, t["emb.pos"].data[:3])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -66,7 +69,7 @@ def test_embed_words_matches_bitwise_recomputation(dtype):
     t = make_tables(dtype=dtype, seed=1)
     ids = np.array([1, 4, 6, 2, 2])
     out = embed_words(ids, t, seq_cfg()).data
-    expected = (t.type_table.data[WORD_TYPE] + t.pos_table.data[:5]) + t.word_table.data[ids]
+    expected = (t["emb.type"].data[WORD_TYPE] + t["emb.pos"].data[:5]) + t["emb.word"].data[ids]
     assert out.dtype == dtype
     assert np.array_equal(out, expected)
 
@@ -75,7 +78,7 @@ def test_embed_words_type_toggle_drops_one_addend():
     t = make_tables(seed=2)
     ids = np.array([0, 3])
     off = embed_words(ids, t, seq_cfg(use_type_embedding=False)).data
-    expected = t.pos_table.data[:2] + t.word_table.data[ids]
+    expected = t["emb.pos"].data[:2] + t["emb.word"].data[ids]
     assert np.array_equal(off, expected)
 
 
@@ -91,7 +94,7 @@ def test_embed_words_position_overflow_errors():
 
 def vision_rows(t, m, token_dim=None, seed=5, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    width = t.d if token_dim is None else token_dim
+    width = dim(t) if token_dim is None else token_dim
     return ad.Tensor(rng.standard_normal((m, width)).astype(dtype))
 
 
@@ -100,7 +103,7 @@ def test_zero_pose_residual_is_constant_pos_row_zero():
     vt = vision_rows(t, 4)
     out = embed_vision(vt, t, seq_cfg(vision_pose_mode="zero")).data
     # every position gets the same addend vector: row 0 of the pose table
-    addend = (t.type_table.data[VISION_TYPE] + t.pos_table.data[0])
+    addend = (t["emb.type"].data[VISION_TYPE] + t["emb.pos"].data[0])
     for j in range(4):
         assert np.array_equal(out[j], addend + vt.data[j])
 
@@ -110,9 +113,9 @@ def test_zero_pose_spread_exactly_zero_on_dyadic_values():
     # shared addend bit-for-bit and its spread across positions is zero
     t = make_tables(seed=3)
     rng = np.random.default_rng(14)
-    for arr in (t.type_table.data, t.pos_table.data):
+    for arr in (t["emb.type"].data, t["emb.pos"].data):
         arr[...] = rng.integers(-8, 9, arr.shape) / 8.0
-    vt = ad.Tensor(rng.integers(-8, 9, (4, t.d)) / 8.0)
+    vt = ad.Tensor(rng.integers(-8, 9, (4, dim(t))) / 8.0)
     out = embed_vision(vt, t, seq_cfg(vision_pose_mode="zero")).data
     spread = out - vt.data
     assert np.array_equal(spread.max(axis=0), spread.min(axis=0))
@@ -121,11 +124,11 @@ def test_zero_pose_spread_exactly_zero_on_dyadic_values():
 def test_actual_pose_uses_rows_one_through_m():
     t = make_tables(seed=4)
     # integer-valued tables make the addend recovery exact
-    t.type_table.data[...] = np.arange(t.type_table.data.size).reshape(2, -1)
-    t.pos_table.data[...] = 10.0 * np.arange(t.pos_table.data.shape[0])[:, None]
-    vt = ad.Tensor(np.zeros((3, t.d)))
+    t["emb.type"].data[...] = np.arange(t["emb.type"].data.size).reshape(2, -1)
+    t["emb.pos"].data[...] = 10.0 * np.arange(t["emb.pos"].data.shape[0])[:, None]
+    vt = ad.Tensor(np.zeros((3, dim(t))))
     out = embed_vision(vt, t, seq_cfg(vision_pose_mode="actual")).data
-    expected = t.type_table.data[VISION_TYPE] + t.pos_table.data[1:4]
+    expected = t["emb.type"].data[VISION_TYPE] + t["emb.pos"].data[1:4]
     assert np.array_equal(out, expected)
 
 
@@ -144,25 +147,25 @@ def test_embed_vision_matches_bitwise_recomputation(dtype):
     t = make_tables(seed=7, dtype=dtype)
     vt = vision_rows(t, 4, dtype=dtype)
     out = embed_vision(vt, t, seq_cfg(vision_pose_mode="actual")).data
-    expected = (t.type_table.data[VISION_TYPE] + t.pos_table.data[1:5]) + vt.data
+    expected = (t["emb.type"].data[VISION_TYPE] + t["emb.pos"].data[1:5]) + vt.data
     assert out.dtype == dtype
     assert np.array_equal(out, expected)
 
 
 def test_projection_present_iff_dims_differ():
     matched = make_tables(d=6, token_dim=6)
-    assert matched.proj_w is None and matched.proj_b is None
+    assert "emb.proj_w" not in matched and "emb.proj_b" not in matched
     projected = make_tables(d=6, token_dim=10)
-    assert projected.proj_w is not None and projected.proj_w.shape == (10, 6)
+    assert "emb.proj_w" in projected and projected["emb.proj_w"].shape == (10, 6)
 
 
 def test_identity_padded_projection_reproduces_leading_coordinates():
     t = make_tables(d=8, token_dim=5, seed=8)
-    t.proj_w.data[...] = 0.0
-    t.proj_w.data[:5, :5] = np.eye(5)
-    t.proj_b.data[...] = 0.0
-    t.type_table.data[...] = 0.0
-    t.pos_table.data[...] = 0.0
+    t["emb.proj_w"].data[...] = 0.0
+    t["emb.proj_w"].data[:5, :5] = np.eye(5)
+    t["emb.proj_b"].data[...] = 0.0
+    t["emb.type"].data[...] = 0.0
+    t["emb.pos"].data[...] = 0.0
     vt = vision_rows(t, 3, token_dim=5)
     out = embed_vision(vt, t, seq_cfg()).data
     assert np.array_equal(out[:, :5], vt.data)
@@ -190,7 +193,7 @@ def test_vision_type_toggle_drops_one_addend():
     t = make_tables(seed=9)
     vt = vision_rows(t, 2)
     out = embed_vision(vt, t, seq_cfg(vision_pose_mode="zero", use_type_embedding=False)).data
-    expected = t.pos_table.data[np.zeros(2, dtype=int)] + vt.data
+    expected = t["emb.pos"].data[np.zeros(2, dtype=int)] + vt.data
     assert np.array_equal(out, expected)
 
 

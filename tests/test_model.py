@@ -7,11 +7,11 @@ import vqagpt.autodiff as ad
 import vqagpt.model as model_module
 from vqagpt import kernels
 from vqagpt.autodiff import AdamState, Tensor
-from vqagpt.embedding import VISION_TYPE, WORD_TYPE, SequencingConfig, TokenSequence
+from vqagpt.config import ModelConfig
+from vqagpt.embedding import VISION_TYPE, WORD_TYPE, TokenSequence
 from vqagpt.errors import CheckpointError, ConfigError
 from vqagpt.model import (
     VQAModel,
-    ModelConfig,
     build_sequence,
     classify,
     decoder_forward,
@@ -23,7 +23,7 @@ from vqagpt.model import (
     save_checkpoint,
     train_step,
 )
-from vqagpt.tokenizers import PAD_ID, VisionTokenizerConfig, image_features
+from vqagpt.tokenizers import PAD_ID, image_features
 
 from oracles import gelu_reference, softmax_reference
 
@@ -37,14 +37,13 @@ def small_config(**kw):
         max_pos=16,
         num_classes=5,
         vocab_size=9,
-        sequencing=SequencingConfig(
-            order="early_word",
-            vision_pose_mode="actual",
-            use_type_embedding=True,
-        ),
-        tokenizer=VisionTokenizerConfig(
-            backend="vit_lite", image_size=8, patch_grid=2, token_dim=8
-        ),
+        order="early_word",
+        vision_pose_mode="actual",
+        use_type_embedding=True,
+        vision_backend="vit_lite",
+        image_size=8,
+        patch_grid=2,
+        token_dim=8,
     )
     base.update(kw)
     return ModelConfig(**base)
@@ -91,20 +90,7 @@ def test_init_params_conventions():
 def test_param_count_matches_hand_count():
     # d=8, 1 layer, 2 heads, mlp hidden 16, vit_lite 8px/2-grid with internal
     # pose, vision token width 5 so the projection path is exercised too.
-    cfg = small_config(
-        sequencing=SequencingConfig(
-            order="early_word",
-            vision_pose_mode="actual",
-            use_type_embedding=True,
-        ),
-        tokenizer=VisionTokenizerConfig(
-            backend="vit_lite",
-            image_size=8,
-            patch_grid=2,
-            token_dim=5,
-            vit_internal_pose=True,
-        ),
-    )
+    cfg = small_config(token_dim=5, vit_internal_pose=True)
     m = init_params(cfg, seed=0)
     d, td, patch = 8, 5, 4  # patch = image_size / grid
     embeddings = 9 * d + 2 * d + 16 * d  # word + type + pose tables
@@ -221,15 +207,9 @@ def test_readout_position_modality_per_order():
     imgs = rng.random((2, 8, 8, 3))
     qids = np.array([[2, 3, 0], [4, 5, 6]])
     for order, want_last in (("early_word", VISION_TYPE), ("early_vision", WORD_TYPE)):
-        cfg = small_config(
-            sequencing=SequencingConfig(
-                order=order,
-                vision_pose_mode="actual",
-                use_type_embedding=True,
-            )
-        )
+        cfg = small_config(order=order)
         m = init_params(cfg, seed=13, dtype=np.float64)
-        seq = build_sequence(image_features(imgs, cfg.tokenizer, np.float64), qids, m)
+        seq = build_sequence(image_features(imgs, cfg, np.float64), qids, m)
         assert seq.modality[-1] == want_last
         assert seq.length == 3 + 4
 
@@ -237,22 +217,16 @@ def test_readout_position_modality_per_order():
 def test_early_vision_logits_ignore_padding_positions():
     # early_vision puts the right-padded question last, so the final position
     # is <pad>; the head must pool only the real word positions.
-    cfg = small_config(
-        sequencing=SequencingConfig(
-            order="early_vision",
-            vision_pose_mode="actual",
-            use_type_embedding=True,
-        )
-    )
+    cfg = small_config(order="early_vision")
     m = init_params(cfg, seed=26, dtype=np.float64)
     rng = np.random.default_rng(27)
     imgs = rng.random((2, 8, 8, 3))
     qids = np.array([[2, 3, 4, PAD_ID, PAD_ID], [5, 6, PAD_ID, PAD_ID, PAD_ID]])
-    n_vision = cfg.tokenizer.n_tokens
+    n_vision = cfg.n_tokens
     key_pad = np.concatenate(
         [np.zeros((2, n_vision), dtype=bool), qids == PAD_ID], axis=1
     )
-    seq = build_sequence(image_features(imgs, cfg.tokenizer, np.float64), qids, m)
+    seq = build_sequence(image_features(imgs, cfg, np.float64), qids, m)
     assert seq.modality[-1] == WORD_TYPE
     with ad.no_grad():
         base = classify(seq, m, key_pad=key_pad).data
@@ -292,10 +266,10 @@ def test_argmax_ties_break_toward_lowest_class():
 def batch_for(m, rng, n=4):
     """A train batch for model ``m``: image features, question ids, labels."""
     cfg = m.config
-    imgs = rng.random((n, cfg.tokenizer.image_size, cfg.tokenizer.image_size, 3))
+    imgs = rng.random((n, cfg.image_size, cfg.image_size, 3))
     qids = rng.integers(0, cfg.vocab_size, (n, 3))
     labels = rng.integers(0, cfg.num_classes, n)
-    return image_features(imgs, cfg.tokenizer, m.flat.dtype), qids, labels
+    return image_features(imgs, cfg, m.flat.dtype), qids, labels
 
 
 def test_initial_loss_is_near_log_num_classes():
@@ -363,9 +337,7 @@ def test_train_step_makes_one_adam_kernel_call(monkeypatch):
 def test_parameter_outside_the_loss_graph_stays_bitwise_unchanged():
     # Without type embeddings emb.type never enters the loss: its gradient
     # stays exactly zero, so Adam's moments stay zero and so does its update.
-    seq = SequencingConfig(order="early_word", vision_pose_mode="actual",
-                           use_type_embedding=False)
-    cfg = small_config(sequencing=seq)
+    cfg = small_config(use_type_embedding=False)
     m = init_params(cfg, seed=32, dtype=np.float32)
     before = {k: v.data.copy() for k, v in m.params.items()}
     opt = AdamState(lr=1e-2)

@@ -1,14 +1,21 @@
-"""The benchmark's tracer rebinds package functions by name; they must exist.
+"""The benchmark reaches into the package by name; those names must hold.
 
 ``perfbench/spans.py`` looks every target up with ``getattr`` when a traced
-run starts, so a rename or removal in the package would first show as a
-failed ``perfbench/run.py --trace 1``.  This reads the tracer's target
-lists and checks each name against the package instead.
+run starts, and ``perfbench/run.py`` wraps three ``cli`` globals and calls a
+few package functions with fixed arguments.  A rename, removal or signature
+change would first show as a failed benchmark run; these tests read the
+tracer's target lists and bind the benchmark's calls against the package
+instead.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import vqagpt.cli as cli
+import vqagpt.model as model
+from vqagpt.config import RunConfig
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +44,20 @@ def test_every_traced_name_exists_in_the_package():
         if not callable(getattr(importlib.import_module(f"vqagpt.{short}"), attr, None))
     ]
     assert not missing, f"perfbench/spans.py traces names the package lacks: {missing}"
+
+
+def test_the_calls_the_benchmark_makes_bind_to_the_package_signatures():
+    # Positional, as perfbench/run.py makes them.
+    calls = [
+        (cli._evaluate_arrays, ("model", "cfg", "images", "qids", "labels", "types")),
+        (model.restore_model, ("config", "tensors", "dtype")),
+        (RunConfig().to_model_config, ("vocab_size", "num_classes")),
+        (model.forward_logits, ("images", "qids", "model")),
+        (model.load_checkpoint, ("path",)),
+    ]
+    for fn, args in calls:
+        inspect.signature(fn).bind(*args)  # raises TypeError on a mismatch
+    # The benchmark times train steps and catches the saved model by
+    # replacing these cli globals, so cli must call them through its globals.
+    assert cli.train_step is model.train_step
+    assert cli.save_checkpoint is model.save_checkpoint

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from vqagpt.config import ModelConfig
 from vqagpt.errors import ConfigError, DataError
 from vqagpt.tokenizers import (
     PAD_ID,
     PAD_TOKEN,
     UNK_ID,
     UNK_TOKEN,
-    VisionTokenizerConfig,
     Vocabulary,
     build_vocab,
     encode_images,
@@ -18,6 +18,8 @@ from vqagpt.tokenizers import (
     init_tokenizer_params,
     tokenize_question,
 )
+
+from oracles import frozen_bank_reference
 
 CORPUS = ["what is it", "what now"]
 
@@ -106,15 +108,15 @@ def test_tokenize_question_length_stable():
 
 
 def vit_cfg(**kw):
-    base = dict(backend="vit_lite", image_size=16, patch_grid=2, token_dim=8)
+    base = dict(vision_backend="vit_lite", image_size=16, patch_grid=2, token_dim=8)
     base.update(kw)
-    return VisionTokenizerConfig(**base)
+    return ModelConfig(**base)
 
 
 def cnn_cfg(**kw):
-    base = dict(backend="cnn_lite", image_size=16, patch_grid=2, token_dim=8)
+    base = dict(vision_backend="cnn_lite", image_size=16, patch_grid=2, token_dim=8)
     base.update(kw)
-    return VisionTokenizerConfig(**base)
+    return ModelConfig(**base)
 
 
 def rand_image(rng, size):
@@ -210,7 +212,7 @@ def test_vit_tokens_project_channel_major_patch_rows():
         r, c = divmod(k, g)
         block = x[r * p : (r + 1) * p, c * p : (c + 1) * p]
         row = [block[i, j, ch] for ch in range(3) for i in range(p) for j in range(p)]
-        expected[k] = np.array(row) @ params["proj_w"].data + params["proj_b"].data
+        expected[k] = np.array(row) @ params["tok.proj_w"].data + params["tok.proj_b"].data
     got = encode(img[None], cfg, params)[0].data
     assert np.allclose(got, expected, atol=1e-12, rtol=0)
 
@@ -261,17 +263,26 @@ def test_image_features_in_64_sample_chunks_match_per_batch_features(cfg):
         assert np.array_equal(split[idx], image_features(imgs[idx], cfg, np.float32))
 
 
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+def test_cnn_lite_frozen_bank_matches_per_pixel_oracle(dtype, tol):
+    cfg = cnn_cfg()
+    imgs = np.random.default_rng(41).random((3, cfg.image_size, cfg.image_size, 3))
+    got = image_features(imgs, cfg, dtype)
+    assert got.dtype == dtype
+    assert np.abs(got - frozen_bank_reference(imgs)).max() <= tol
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError, match="backend"):
-        VisionTokenizerConfig(backend="resnet").validate()
+        ModelConfig(vision_backend="resnet").validate()
     with pytest.raises(ConfigError, match="token_dim"):
         vit_cfg(token_dim=0).validate()
     with pytest.raises(ConfigError, match="divisible"):
         vit_cfg(image_size=10, patch_grid=4).validate()
     # cnn_lite halves the image first, so g must divide image_size/2 too
     with pytest.raises(ConfigError, match="cnn_lite"):
-        VisionTokenizerConfig(
-            backend="cnn_lite", image_size=12, patch_grid=4, token_dim=8
+        ModelConfig(
+            vision_backend="cnn_lite", image_size=12, patch_grid=4, token_dim=8
         ).validate()
     cnn_cfg().validate()
     vit_cfg().validate()
