@@ -28,8 +28,15 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .data import GeneratorSpec, generate_synthetic, load_dataset, load_images
-from .errors import ConfigError, DataError, VqagptError
+from .data import (
+    GeneratorSpec,
+    generate_synthetic,
+    label_lines,
+    load_dataset,
+    load_images,
+    parse_label_lines,
+)
+from .errors import CheckpointError, ConfigError, DataError, VqagptError
 from .metrics import compute_metrics, report_lines
 from .model import (
     feature_logits,
@@ -45,6 +52,11 @@ CHECKPOINT_NAME = "model.ckpt"
 METRICS_CSV = "metrics.csv"
 EVAL_CSV = "eval.csv"
 ABLATION_CSV = "ablation.csv"
+METRICS_HEADER = [
+    "epoch", "train_loss", "train_acc", "train_recall", "train_fscore",
+    "val_loss", "val_acc", "val_recall", "val_fscore",
+]
+SCORE_HEADER = ["scope", "n", "acc", "macro_recall", "macro_fscore"]
 # Samples per forward pass in evaluation, whatever the training batch.
 EVAL_CHUNK = 64
 
@@ -76,17 +88,13 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _label_lines(label_map: dict) -> list:
-    by_id = sorted(label_map.items(), key=lambda kv: kv[1])
-    return [f"{name}\t{idx}" for name, idx in by_id]
-
-
-def _parse_label_lines(lines) -> dict:
-    label_map = {}
-    for line in lines:
-        name, _, idx = line.partition("\t")
-        label_map[name] = int(idx)
-    return label_map
+def _score_rows(report) -> list:
+    """``SCORE_HEADER`` rows of ``report``: overall first, then each question type."""
+    scopes = [("overall", report)] + list(report.per_type.items())
+    return [
+        [scope, m.n, f"{m.acc:.6f}", f"{m.macro_recall:.6f}", f"{m.macro_fscore:.6f}"]
+        for scope, m in scopes
+    ]
 
 
 def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
@@ -138,6 +146,16 @@ def _infer_template_count(*datasets) -> int:
     return k
 
 
+def _split_held_out(samples, k: int, what: str):
+    """(samples on templates < k - 1, samples on the held-out template k - 1)."""
+    if k < 2:
+        raise DataError(f"{what} needs at least 2 templates in the data")
+    return (
+        [s for s in samples if s.template_id < k - 1],
+        [s for s in samples if s.template_id == k - 1],
+    )
+
+
 def _load_split(cfg: RunConfig):
     data_dir = Path(cfg.data_dir)
     train_ds = load_dataset(data_dir / "train.jsonl")
@@ -153,7 +171,7 @@ def _load_split(cfg: RunConfig):
 
 
 def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
-    """Core training loop; returns (model, vocab, per-epoch rows, final test report).
+    """Core training loop; returns (model, vocab, ``METRICS_HEADER`` rows, final test report).
 
     The test report is the last snapshot's, taken of the returned model.
     """
@@ -161,9 +179,7 @@ def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
     train_samples = list(train_ds.samples)
     if cfg.rephrased_holdout:
         k = _infer_template_count(train_ds, test_ds)
-        if k < 2:
-            raise DataError("rephrased holdout needs at least 2 templates in the data")
-        train_samples = [s for s in train_samples if s.template_id < k - 1]
+        train_samples = _split_held_out(train_samples, k, "rephrased holdout")[0]
     if not train_samples:
         raise DataError("training split is empty")
     vocab = build_vocab([s.question for s in train_samples], cfg.min_word_count)
@@ -179,22 +195,14 @@ def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
     def snapshot(epoch: int, running_loss):
         tr_loss, tr_rep = _evaluate_arrays(model, cfg, feats, qids, labels, types)
         va_loss, va_rep = _evaluate_arrays(model, cfg, t_feats, t_qids, t_labels, t_types)
-        row = {
-            "epoch": epoch,
-            "train_loss": repr(running_loss if running_loss is not None else tr_loss),
-            "train_acc": f"{tr_rep.acc:.6f}",
-            "train_recall": f"{tr_rep.macro_recall:.6f}",
-            "train_fscore": f"{tr_rep.macro_fscore:.6f}",
-            "val_loss": repr(va_loss),
-            "val_acc": f"{va_rep.acc:.6f}",
-            "val_recall": f"{va_rep.macro_recall:.6f}",
-            "val_fscore": f"{va_rep.macro_fscore:.6f}",
-        }
-        rows.append(row)
+        train_loss = running_loss if running_loss is not None else tr_loss
+        tr_scores = _score_rows(tr_rep)[0][2:]
+        va_scores = _score_rows(va_rep)[0][2:]
+        rows.append([epoch, repr(train_loss), *tr_scores, repr(va_loss), *va_scores])
         if log:
             log(
-                f"epoch {epoch}/{cfg.epochs}  train_loss={float(row['train_loss']):.6f}"
-                f"  train_acc={row['train_acc']}  val_acc={row['val_acc']}"
+                f"epoch {epoch}/{cfg.epochs}  train_loss={train_loss:.6f}"
+                f"  train_acc={tr_scores[0]}  val_acc={va_scores[0]}"
             )
         return va_rep
 
@@ -244,17 +252,13 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, vocab, rows, _ = _train_on(cfg, train_ds, test_ds, log=print)
-    header = [
-        "epoch", "train_loss", "train_acc", "train_recall", "train_fscore",
-        "val_loss", "val_acc", "val_recall", "val_fscore",
-    ]
-    _write_csv(out_dir / METRICS_CSV, header, [[r[h] for h in header] for r in rows])
+    _write_csv(out_dir / METRICS_CSV, METRICS_HEADER, rows)
     save_checkpoint(
         out_dir / CHECKPOINT_NAME,
         model,
         serialize_config(cfg),
         vocab.to_lines(),
-        _label_lines(train_ds.label_map),
+        label_lines(train_ds.label_map),
     )
     print(f"checkpoint: {out_dir / CHECKPOINT_NAME}")
     print(f"metrics: {out_dir / METRICS_CSV}")
@@ -266,25 +270,25 @@ def _eval_blocks(dataset, rephrased: bool):
     if not rephrased:
         return [("test", dataset.samples)]
     k = _infer_template_count(dataset)
-    if k < 2:
-        raise DataError("--rephrased needs at least 2 templates in the dataset")
-    default_samples = [s for s in dataset.samples if s.template_id < k - 1]
-    held_out = [s for s in dataset.samples if s.template_id == k - 1]
+    default_samples, held_out = _split_held_out(dataset.samples, k, "--rephrased")
     if not held_out:
         raise DataError(f"no samples use the held-out template {k - 1}")
     return [("default_templates", default_samples), ("rephrased", held_out)]
 
 
 def cmd_eval(args) -> int:
-    config_text, vocab_lines, label_lines, tensors = load_checkpoint(args.checkpoint)
+    config_text, vocab_lines, label_block, tensors = load_checkpoint(args.checkpoint)
     cfg = parse_config(config_text)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     if args.data:
         cfg = replace(cfg, data_dir=args.data)
     cfg.validate()
-    vocab = Vocabulary.from_lines(vocab_lines)
-    ckpt_label_map = _parse_label_lines(label_lines)
+    try:
+        vocab = Vocabulary.from_lines(vocab_lines)
+        ckpt_label_map = parse_label_lines(label_block, "label map block")
+    except (ValueError, DataError) as exc:
+        raise CheckpointError(f"corrupt checkpoint {args.checkpoint}: {exc}") from exc
     model = restore_model(
         cfg.to_model_config(vocab.size, len(ckpt_label_map)), tensors, _dtype_for(cfg)
     )
@@ -304,19 +308,11 @@ def cmd_eval(args) -> int:
         for line in report_lines(report, title=block):
             print(line)
         print(f"  loss={loss:.6f}")
-        csv_rows.append([block, "overall", report.n, f"{report.acc:.6f}",
-                         f"{report.macro_recall:.6f}", f"{report.macro_fscore:.6f}"])
-        for tag, tm in report.per_type.items():
-            csv_rows.append([block, tag, tm.n, f"{tm.acc:.6f}",
-                             f"{tm.macro_recall:.6f}", f"{tm.macro_fscore:.6f}"])
+        csv_rows.extend([block] + row for row in _score_rows(report))
     if args.rephrased and "default_templates" in block_reports and "rephrased" in block_reports:
         delta = block_reports["default_templates"].acc - block_reports["rephrased"].acc
         print(f"rephrased degradation (default acc - rephrased acc): {delta:+.4f}")
-    _write_csv(
-        out_dir / EVAL_CSV,
-        ["block", "scope", "n", "acc", "macro_recall", "macro_fscore"],
-        csv_rows,
-    )
+    _write_csv(out_dir / EVAL_CSV, ["block"] + SCORE_HEADER, csv_rows)
     print(f"eval csv: {out_dir / EVAL_CSV}")
     return 0
 
@@ -345,25 +341,17 @@ def cmd_ablate(args) -> int:
                 try:
                     _, _, _, report = _train_on(cell_cfg, train_ds, test_ds)
                 except Exception as exc:  # keep remaining cells running
-                    rows.append(list(cell) + [cfg.use_type_embedding, "overall", "",
-                                              "", "", "", f"error: {exc}"])
+                    rows.append([*cell, cfg.use_type_embedding, "overall", "", "", "", "",
+                                 f"error: {exc}"])
                     print(f"[ablate] cell {label} failed: {exc}")
                     continue
                 cell_acc[cell] = report.acc
-                rows.append(list(cell) + [
-                    cfg.use_type_embedding, "overall", report.n,
-                    f"{report.acc:.6f}", f"{report.macro_recall:.6f}",
-                    f"{report.macro_fscore:.6f}", "ok",
-                ])
-                for tag, tm in report.per_type.items():
-                    rows.append(list(cell) + [
-                        cfg.use_type_embedding, tag, tm.n, f"{tm.acc:.6f}",
-                        f"{tm.macro_recall:.6f}", f"{tm.macro_fscore:.6f}", "ok",
-                    ])
+                rows.extend(
+                    [*cell, cfg.use_type_embedding, *row, "ok"] for row in _score_rows(report)
+                )
     _write_csv(
         out_dir / ABLATION_CSV,
-        ["order", "pose_mode", "backend", "type_embedding", "scope", "n",
-         "acc", "macro_recall", "macro_fscore", "status"],
+        ["order", "pose_mode", "backend", "type_embedding", *SCORE_HEADER, "status"],
         rows,
     )
     print(f"ablation csv: {out_dir / ABLATION_CSV}")

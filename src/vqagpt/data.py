@@ -138,12 +138,6 @@ class VQADataset:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def class_names(self) -> list:
-        names = [None] * len(self.label_map)
-        for name, idx in self.label_map.items():
-            names[idx] = name
-        return names
-
     def max_template(self) -> int:
         return max((s.template_id for s in self.samples), default=-1)
 
@@ -309,16 +303,14 @@ def generate_synthetic(seed: int, n_samples: int, spec: GeneratorSpec, out_dir):
         (train_samples if split_parity == 0 else test_samples).append(sample)
 
     with open(out_dir / "labels.tsv", "w", encoding="utf-8") as f:
-        for name, idx in label_map.items():
-            f.write(f"{name}\t{idx}\n")
-    class_names = classes
+        f.writelines(line + "\n" for line in label_lines(label_map))
     for fname, samples in (("train.jsonl", train_samples), ("test.jsonl", test_samples)):
         with open(out_dir / fname, "w", encoding="utf-8") as f:
             for s in samples:
                 record = {
                     "image": s.image_path,
                     "question": s.question,
-                    "answer": class_names[s.answer_class],
+                    "answer": classes[s.answer_class],
                     "type": s.question_type,
                     "template": s.template_id,
                     "scene": s.scene,
@@ -334,31 +326,49 @@ def generate_synthetic(seed: int, n_samples: int, spec: GeneratorSpec, out_dir):
 # loading
 
 
+def label_lines(label_map: dict) -> list:
+    """The ``name<TAB>id`` lines of ``label_map``, in id order.
+
+    ``labels.tsv`` and a checkpoint's label map block both hold these lines.
+    """
+    by_id = sorted(label_map.items(), key=lambda kv: kv[1])
+    return [f"{name}\t{idx}" for name, idx in by_id]
+
+
+def parse_label_lines(lines, where: str) -> dict:
+    """Inverse of ``label_lines``; every error names ``where`` and the line number.
+
+    Blank lines are skipped.  The ids must be exactly 0..n-1, each name and
+    id used once.
+    """
+    label_map: dict = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{where}:{lineno}: expected 'name<TAB>id'")
+        name, raw_id = parts
+        try:
+            idx = int(raw_id)
+        except ValueError as exc:
+            raise DataError(f"{where}:{lineno}: bad class id {raw_id!r}") from exc
+        if name in label_map or idx in label_map.values():
+            raise DataError(f"{where}:{lineno}: duplicate label entry")
+        label_map[name] = idx
+    ids = sorted(label_map.values())
+    if ids != list(range(len(ids))):
+        raise DataError(f"{where}: class ids must be exactly 0..{len(ids) - 1}")
+    return label_map
+
+
 def load_label_map(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise DataError(f"label map file not found: {path}")
-    label_map: dict = {}
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'name<TAB>id'")
-            name, raw_id = parts
-            try:
-                idx = int(raw_id)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad class id {raw_id!r}") from exc
-            if name in label_map or idx in label_map.values():
-                raise DataError(f"{path}:{lineno}: duplicate label entry")
-            label_map[name] = idx
-    ids = sorted(label_map.values())
-    if ids != list(range(len(ids))):
-        raise DataError(f"{path}: class ids must be exactly 0..{len(ids) - 1}")
-    return label_map
+        return parse_label_lines(f, str(path))
 
 
 def load_dataset(manifest, label_map_path=None) -> VQADataset:

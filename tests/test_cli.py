@@ -33,6 +33,7 @@ from vqagpt.model import (
     init_params,
     load_checkpoint,
     restore_model,
+    save_checkpoint,
 )
 from vqagpt.tokenizers import Vocabulary
 
@@ -461,6 +462,42 @@ def test_exit_code_4_on_checkpoint_error(tmp_path, mini_corpus):
         "--data", str(mini_corpus["root"]), "--out", str(tmp_path / "o"),
     ])
     assert rc == 4
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(
+            lambda vocab, labels: (vocab, ["red 0"] + labels[1:]),
+            "label map block:1: expected 'name<TAB>id'",
+            id="label-no-tab",
+        ),
+        pytest.param(
+            lambda vocab, labels: (vocab[2:], labels),
+            "vocabulary lines must start with the PAD and UNK rows",
+            id="vocab-no-pad-unk",
+        ),
+    ],
+)
+def test_exit_code_4_on_corrupt_vocabulary_or_label_block(
+    trained_mini, tmp_path, capsys, corrupt, message
+):
+    config_text, vocab_lines, label_lines, tensors = load_checkpoint(
+        trained_mini["out"] / CHECKPOINT_NAME
+    )
+    cfg = parse_config(config_text)
+    model = restore_model(cfg.to_model_config(len(vocab_lines), len(label_lines)), tensors)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, model, config_text, *corrupt(vocab_lines, label_lines))
+    capsys.readouterr()
+    rc = main([
+        "eval", "--checkpoint", str(bad),
+        "--data", str(trained_mini["data"]), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: corrupt checkpoint {bad}: {message}"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_2_on_label_map_mismatch(trained_mini, tmp_path):

@@ -14,9 +14,11 @@ from vqagpt.data import (
     GeneratorSpec,
     answer_for,
     generate_synthetic,
+    label_lines,
     load_dataset,
     load_images,
     load_label_map,
+    parse_label_lines,
     render_scene,
 )
 from vqagpt.errors import DataError
@@ -73,7 +75,7 @@ def test_every_answer_survives_independent_reparse(mini_corpus):
     train, test = mini_corpus["train"], mini_corpus["test"]
     checked = 0
     for ds in (train, test):
-        names = ds.class_names()
+        names = {idx: name for name, idx in ds.label_map.items()}
         for s in ds.samples:
             assert names[s.answer_class] == reparse_answer(s.question, s.scene)
             checked += 1
@@ -224,6 +226,17 @@ def test_label_map_validation(tmp_path):
         load_label_map(p)
     p.write_text("red\t0\nblue\t1\n")
     assert load_label_map(p) == {"red": 0, "blue": 1}
+
+
+def test_label_lines_round_trip_and_are_the_labels_tsv_text(mini_corpus):
+    label_map = mini_corpus["train"].label_map
+    lines = label_lines(label_map)
+    assert parse_label_lines(lines, "lines") == label_map
+    # ids out of insertion order still come back in id order
+    shuffled = dict(reversed(list(label_map.items())))
+    assert label_lines(shuffled) == lines
+    text = (Path(mini_corpus["root"]) / "labels.tsv").read_text(encoding="utf-8")
+    assert text == "".join(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_param_count_matches_hand_count():
     )
     final_norm = d + d
     head = (d * d + d) + (d * 5 + 5)
-    assert m.param_count() == embeddings + projection + vit + block + final_norm + head
+    assert m.flat.size == embeddings + projection + vit + block + final_norm + head
 
 
 def test_config_validation_errors():
@@ -315,8 +315,11 @@ def test_train_step_label_range_error():
     m = init_params(cfg, seed=22, dtype=np.float64)
     rng = np.random.default_rng(23)
     feats, qids, _ = batch_for(m, rng, n=2)
+    before = m.flat.copy()
     with pytest.raises(ValueError, match="label out of range"):
         train_step((feats, qids, np.array([0, 5])), m, AdamState())
+    # cross_entropy raises before backward and Adam run
+    assert m.flat.tobytes() == before.tobytes()
 
 
 def test_train_step_makes_one_adam_kernel_call(monkeypatch):
@@ -331,7 +334,7 @@ def test_train_step_makes_one_adam_kernel_call(monkeypatch):
     cfg = small_config()
     m = init_params(cfg, seed=30, dtype=np.float64)
     train_step(batch_for(m, np.random.default_rng(31)), m, AdamState())
-    assert sizes == [m.param_count()]
+    assert sizes == [m.flat.size]
 
 
 def test_parameter_outside_the_loss_graph_stays_bitwise_unchanged():
