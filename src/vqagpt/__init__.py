@@ -32,7 +32,7 @@ from .autodiff import (
 from .config import ModelConfig, RunConfig, parse_config, serialize_config
 from .data import GeneratorSpec, VQADataset, VQASample, generate_synthetic, load_dataset
 from .embedding import TokenSequence, embed_vision, embed_words, sequence
-from .errors import CheckpointError, ConfigError, DataError, VqagptError
+from .errors import CheckpointError, ConfigError, DataError, NonFiniteError, VqagptError
 from .metrics import MetricsReport, compute_metrics
 from .model import (
     VQAModel,
@@ -54,7 +54,7 @@ __all__ = [
     "ModelConfig", "RunConfig", "parse_config", "serialize_config",
     "GeneratorSpec", "VQADataset", "VQASample", "generate_synthetic", "load_dataset",
     "TokenSequence", "embed_vision", "embed_words", "sequence",
-    "CheckpointError", "ConfigError", "DataError", "VqagptError",
+    "CheckpointError", "ConfigError", "DataError", "NonFiniteError", "VqagptError",
     "MetricsReport", "compute_metrics",
     "VQAModel", "classify", "decoder_forward", "init_params",
     "load_checkpoint", "save_checkpoint", "train_step",

@@ -6,6 +6,10 @@ define-by-run; ``backward`` walks it once in reverse topological order and
 accumulates into ``.grad``, so a value used in several places receives the
 sum of all its downstream contributions.
 
+The decoder runs on two fused ops: ``linear`` (x @ W + b, one node per
+projection) and ``attention`` (a block's attention core, one node).  The
+unfused ``softmax``, ``mul`` and ``getitem`` serve tests and the tracer.
+
 Design constraints, in rough order of importance:
 
 * Gradients must survive a finite-difference check at 1e-4 relative error,
@@ -79,20 +83,6 @@ class Tensor:
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self))
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -182,16 +172,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     def backward_fn(g):
-        if b.data.ndim == 2:
-            # b is a weight: fold every leading dim into the rows of one GEMM
-            # per gradient, instead of a stack of per-sample products.  The
-            # forward keeps the stack, so eval logits stay batch-independent.
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                _accum(a, np.matmul(g2, b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                _accum(b, np.matmul(a.data.reshape(-1, a.data.shape[-1]).T, g2))
-            return
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             _accum(a, _unbroadcast(ga, a.data.shape))
@@ -200,6 +180,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, _unbroadcast(gb, b.data.shape))
 
     return _make(np.matmul(a.data, b.data), (a, b), backward_fn)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for rows x (..., k), a weight w (k, n) and a bias b (n,).
+
+    The forward is np.matmul's stack of per-sample products, then the bias
+    added in place, so a sample's output does not depend on its batch.  The
+    backward folds every leading dim into the rows of one GEMM per gradient
+    and takes the bias gradient as one row sum.
+    """
+    if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise ValueError(
+            f"linear shape mismatch: {tuple(x.data.shape)} x {tuple(w.data.shape)}"
+        )
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            _accum(x, np.matmul(g2, w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            _accum(w, np.matmul(x.data.reshape(-1, x.data.shape[-1]).T, g2))
+        if b.requires_grad:
+            _accum(b, g2.sum(axis=0))
+
+    return _make(out, (x, w, b), backward_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -314,50 +321,110 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward_fn)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax.
+def _softmax_(x: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax of ``x`` over its last axis, in place; returns ``x``.
 
     Additive masks of -1e9 underflow to exactly 0.0 after the shift and
     exp, which is what makes the causal-masking test exact rather than
-    approximate.
+    approximate.  numpy's max over a short last axis costs ~0.1 us a row,
+    so the row maxima are taken over the first axis of the transposed
+    rows; a max is exact, so this equals ``x.max(axis=-1)`` bit for bit.
     """
+    rows_t = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+    x -= rows_t.max(axis=0).reshape(x.shape[:-1] + (1,))
+    np.exp(x, out=x)
+    x /= np.einsum("...i->...", x)[..., None]
+    return x
+
+
+def _softmax_grad_(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Turn ``g``, the gradient at softmax output ``y``, into the input gradient in place."""
+    g -= np.einsum("...i,...i->...", g, y)[..., None]
+    g *= y
+    return g
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Max-shifted softmax over the last axis (see ``_softmax_``); NaN input raises ``ValueError``."""
     x = a.data
     if np.isnan(x).any():
         raise ValueError("softmax received NaN input")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax_(x.copy())
 
     def backward_fn(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
+        _accum(a, _softmax_grad_(g.copy(), y))
 
     return _make(y, (a,), backward_fn)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply learned gain and bias."""
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gain.data * xhat + bias.data
-    reduce_axes = tuple(range(x.ndim - 1))
+def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over ``qkv`` (B, L, 3d), as one tape node.
+
+    q, k and v are views of the three column blocks of ``qkv``, each split
+    into ``n_heads`` heads.  ``mask``, (L, L) or (B, 1, L, L), is added to
+    the scaled scores, which are softmaxed in place.  The output is the
+    heads' value mixtures side by side, (B, L, d).  The backward writes
+    dq, dk and dv into one (B, L, 3d) array.
+    """
+    bsz, length, width = qkv.data.shape
+    if width % (3 * n_heads):
+        raise ValueError(f"attention: width {width} is not 3 x {n_heads} heads")
+    hd = width // (3 * n_heads)
+    scale = 1.0 / math.sqrt(hd)
+    # (B, L, 3, heads, hd) -> three (B, heads, L, hd) views
+    q, k, v = qkv.data.reshape(bsz, length, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
+    att = np.matmul(q, k.swapaxes(-1, -2))
+    att *= scale
+    att += mask
+    _softmax_(att)
+    out = np.matmul(att, v).transpose(0, 2, 1, 3).reshape(bsz, length, width // 3)
 
     def backward_fn(g):
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).sum(axis=reduce_axes))
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=reduce_axes))
-        if a.requires_grad:
-            dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True)
-            term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(a, inv * term)
+        go = g.reshape(bsz, length, n_heads, hd).transpose(0, 2, 1, 3)
+        dqkv = np.empty_like(qkv.data)
+        dq, dk, dv = dqkv.reshape(bsz, length, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
+        np.matmul(att.swapaxes(-1, -2), go, out=dv)
+        ds = _softmax_grad_(np.matmul(go, v.swapaxes(-1, -2)), att)
+        ds *= scale
+        np.matmul(ds, k, out=dq)
+        np.matmul(ds.swapaxes(-1, -2), q, out=dk)
+        _accum(qkv, dqkv)
 
-    return _make(out, (a, gain, bias), backward_fn)
+    return _make(out, (qkv,), backward_fn)
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis, then apply learned gain and bias.
+
+    The sums are ``np.einsum`` reductions, which add a row's entries in
+    the same order whatever the number of rows.  The backward overwrites
+    ``xhat``, which no one reads after it: it runs once.
+    """
+    n = a.data.shape[-1]
+    x = a.data.reshape(-1, n)
+    xhat = x - (np.einsum("ij->i", x) / n)[:, None]
+    var = np.einsum("ij,ij->i", xhat, xhat) / n
+    inv = (1.0 / np.sqrt(var + eps))[:, None]
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, n)
+        if gain.requires_grad:
+            _accum(gain, np.einsum("ij,ij->j", g2, xhat))
+        if bias.requires_grad:
+            _accum(bias, np.einsum("ij->j", g2))
+        if a.requires_grad:
+            dxhat = g2 * gain.data
+            mean_d = np.einsum("ij->i", dxhat) / n
+            proj = np.multiply(xhat, (np.einsum("ij,ij->i", dxhat, xhat) / n)[:, None], out=xhat)
+            dxhat -= mean_d[:, None]
+            dxhat -= proj
+            dxhat *= inv
+            _accum(a, dxhat.reshape(a.data.shape))
+
+    return _make(out.reshape(a.data.shape), (a, gain, bias), backward_fn)
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:

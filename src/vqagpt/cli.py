@@ -3,7 +3,8 @@
 Configuration precedence, lowest to highest: schema defaults, --profile,
 --config file, explicit flags (--seed/--out/--data).  Exit codes are a
 stable contract: 0 success, 2 config error, 3 data error, 4 checkpoint
-error (argparse usage errors also exit 2).
+error, 5 a non-finite loss or gradient in training (argparse usage errors
+also exit 2).
 
 Determinism note: runs are reproducible bit-for-bit only in single-threaded
 BLAS mode; pin OMP_NUM_THREADS=1 (or the OpenBLAS equivalent) when that
@@ -36,7 +37,7 @@ from .data import (
     load_images,
     parse_label_lines,
 )
-from .errors import CheckpointError, ConfigError, DataError, VqagptError
+from .errors import CheckpointError, ConfigError, DataError, NonFiniteError, VqagptError
 from .metrics import compute_metrics, report_lines
 from .model import (
     feature_logits,
@@ -211,9 +212,12 @@ def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(len(train_samples))
         total = 0.0
-        for lo in range(0, len(perm), cfg.batch_size):
+        for step, lo in enumerate(range(0, len(perm), cfg.batch_size), start=1):
             idx = perm[lo : lo + cfg.batch_size]
-            loss = train_step((feats[idx], qids[idx], labels[idx]), model, opt)
+            try:
+                loss = train_step((feats[idx], qids[idx], labels[idx]), model, opt)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"epoch {epoch} step {step}: {exc}") from exc
             total += loss * len(idx)
         test_report = snapshot(epoch, total / len(perm))
     return model, vocab, rows, test_report
@@ -284,14 +288,15 @@ def cmd_eval(args) -> int:
     if args.data:
         cfg = replace(cfg, data_dir=args.data)
     cfg.validate()
+    # cfg is valid: a model config error comes from the checkpoint's blocks
     try:
         vocab = Vocabulary.from_lines(vocab_lines)
         ckpt_label_map = parse_label_lines(label_block, "label map block")
-    except (ValueError, DataError) as exc:
+        model_cfg = cfg.to_model_config(vocab.size, len(ckpt_label_map))
+        model_cfg.validate()
+    except (ValueError, ConfigError, DataError) as exc:
         raise CheckpointError(f"corrupt checkpoint {args.checkpoint}: {exc}") from exc
-    model = restore_model(
-        cfg.to_model_config(vocab.size, len(ckpt_label_map)), tensors, _dtype_for(cfg)
-    )
+    model = restore_model(model_cfg, tensors, _dtype_for(cfg))
     test_ds = load_dataset(Path(cfg.data_dir) / "test.jsonl")
     if test_ds.label_map != ckpt_label_map:
         raise ConfigError("checkpoint label map does not match the dataset's labels.tsv")

@@ -116,7 +116,7 @@ def embed_vision(tokens: ad.Tensor, params: dict, cfg: ModelConfig) -> ad.Tensor
                 f"vision tokens of width {token_dim} need a projection to "
                 f"embedding width {d}, but none is configured"
             )
-        v_x = ad.add(ad.matmul(tokens, params["emb.proj_w"]), params["emb.proj_b"])
+        v_x = ad.linear(tokens, params["emb.proj_w"], params["emb.proj_b"])
     else:
         v_x = tokens
     if cfg.vision_pose_mode == "zero":

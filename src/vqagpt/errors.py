@@ -2,7 +2,7 @@
 
 Each maps to a CLI exit code so the command-line harness can fail
 predictably: config problems exit 2, data problems exit 3, checkpoint
-problems exit 4.
+problems exit 4, and a non-finite loss or gradient in training exits 5.
 """
 
 
@@ -28,3 +28,9 @@ class CheckpointError(VqagptError):
     """Corrupt, truncated, or incompatible checkpoint file."""
 
     exit_code = 4
+
+
+class NonFiniteError(VqagptError):
+    """A train step met a non-finite loss or gradient; its update was not applied."""
+
+    exit_code = 5

@@ -1,9 +1,12 @@
 """The causal decoder over mixed word/vision tokens, plus checkpointing.
 
 Architecture: pre-norm transformer blocks, x += MHA(LN(x)) then
-x += MLP(LN(x)), with a final layer norm.  Attention is strictly causal
-for every position, vision tokens included; the additive mask uses -1e9,
-which underflows to an exact zero weight after softmax, so causality holds
+x += MLP(LN(x)), with a final layer norm.  Each projection is one
+``autodiff.linear`` node, and a block's attention core (q, k and v as views
+of one (B, L, 3d) product, scores, mask, softmax, value mix) is one
+``autodiff.attention`` node.  Attention is strictly causal for every
+position, vision tokens included; the additive mask uses -1e9, which
+underflows to an exact zero weight after softmax, so causality holds
 bitwise rather than approximately.
 
 The answer head reads the mean final hidden state over the non-padding
@@ -35,7 +38,7 @@ from .embedding import (
     init_embedding_tables,
     sequence,
 )
-from .errors import CheckpointError
+from .errors import CheckpointError, NonFiniteError
 from .tokenizers import (
     PAD_ID,
     encode_images,
@@ -138,10 +141,7 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Ten
     bsz, length, d = x.shape
     if length > cfg.seq_len_limit:
         raise ValueError(f"sequence length {length} exceeds limit {cfg.seq_len_limit}")
-    nh = cfg.n_heads
-    hd = d // nh
-    scale = 1.0 / math.sqrt(hd)
-    mask_data = np.triu(np.full((length, length), MASK_VALUE, dtype=x.dtype), k=1)
+    mask = np.triu(np.full((length, length), MASK_VALUE, dtype=x.dtype), k=1)
     if key_pad is not None:
         key_pad = np.asarray(key_pad, dtype=bool)
         if key_pad.shape != (bsz, length):
@@ -149,27 +149,15 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Ten
                 f"key_pad shape {key_pad.shape} does not match batch {(bsz, length)}"
             )
         pad_add = np.where(key_pad, MASK_VALUE, 0.0).astype(x.dtype)
-        mask_data = mask_data[None, None] + pad_add[:, None, None, :]
-    mask = ad.Tensor(mask_data)
+        mask = mask[None, None] + pad_add[:, None, None, :]
     for i in range(cfg.n_layers):
         h = ad.layer_norm(x, p[f"h{i}.ln1_g"], p[f"h{i}.ln1_b"])
-        parts = []
-        for s in range(3):
-            # q, k, v from column blocks of qkv_w / qkv_b: the slices' backward
-            # then zero-fills weight-sized arrays, not (B, L, 3d) activations.
-            cols = slice(s * d, (s + 1) * d)
-            part = ad.add(ad.matmul(h, p[f"h{i}.qkv_w"][:, cols]), p[f"h{i}.qkv_b"][cols])
-            part = ad.reshape(part, (bsz, length, nh, hd))
-            parts.append(ad.transpose(part, (0, 2, 1, 3)))  # (B, nh, L, hd)
-        q, k, v = parts
-        att = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * scale
-        att = ad.softmax(ad.add(att, mask), axis=-1)
-        o = ad.matmul(att, v)  # (B, nh, L, hd)
-        o = ad.reshape(ad.transpose(o, (0, 2, 1, 3)), (bsz, length, d))
-        x = ad.add(x, ad.add(ad.matmul(o, p[f"h{i}.attn_out_w"]), p[f"h{i}.attn_out_b"]))
+        qkv = ad.linear(h, p[f"h{i}.qkv_w"], p[f"h{i}.qkv_b"])
+        o = ad.attention(qkv, mask, cfg.n_heads)
+        x = ad.add(x, ad.linear(o, p[f"h{i}.attn_out_w"], p[f"h{i}.attn_out_b"]))
         h2 = ad.layer_norm(x, p[f"h{i}.ln2_g"], p[f"h{i}.ln2_b"])
-        mid = ad.gelu(ad.add(ad.matmul(h2, p[f"h{i}.mlp_in_w"]), p[f"h{i}.mlp_in_b"]))
-        x = ad.add(x, ad.add(ad.matmul(mid, p[f"h{i}.mlp_out_w"]), p[f"h{i}.mlp_out_b"]))
+        mid = ad.gelu(ad.linear(h2, p[f"h{i}.mlp_in_w"], p[f"h{i}.mlp_in_b"]))
+        x = ad.add(x, ad.linear(mid, p[f"h{i}.mlp_out_w"], p[f"h{i}.mlp_out_b"]))
     return ad.layer_norm(x, p["lnf_g"], p["lnf_b"])
 
 
@@ -207,8 +195,8 @@ def classify(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Tensor:
     p = model.params
     # The fc layers run on (B, 1, d) rows, one product per sample, so a
     # sample's logits do not depend on how many share its batch.
-    mid = ad.gelu(ad.add(ad.matmul(pooled, p["head.fc1_w"]), p["head.fc1_b"]))
-    logits = ad.add(ad.matmul(mid, p["head.fc2_w"]), p["head.fc2_b"])
+    mid = ad.gelu(ad.linear(pooled, p["head.fc1_w"], p["head.fc1_b"]))
+    logits = ad.linear(mid, p["head.fc2_w"], p["head.fc2_b"])
     return ad.reshape(logits, (bsz, model.config.num_classes))
 
 
@@ -258,15 +246,23 @@ def train_step(batch, model: VQAModel, opt: ad.AdamState) -> float:
     The features are ``tokenizers.image_features`` of the batch's images,
     which the caller computes once per dataset.  A label outside
     [0, num_classes) makes ``cross_entropy`` raise ``ValueError`` before
-    backward and Adam run, so the parameters stay as they were.
+    backward, and a non-finite loss or gradient raises ``NonFiniteError``
+    naming the loss or the first such parameter; either way Adam does not
+    run and the parameters stay as they were.
     """
     features, question_ids, labels = batch
     ad.zero_grad(model.grad)
     logits = feature_logits(features, question_ids, model)
     loss = ad.cross_entropy(logits, labels)
     ad.backward(loss)
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise NonFiniteError(f"non-finite loss {value}")
+    if not np.isfinite(model.grad).all():
+        name = next(n for n, p in model.params.items() if not np.isfinite(p.grad).all())
+        raise NonFiniteError(f"non-finite gradient in {name}")
     ad.adam_step(model.flat, model.grad, opt)
-    return float(loss.data)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ def encode_images(feats: np.ndarray, cfg: ModelConfig, params: dict) -> ad.Tenso
         # (B, token_dim, g, g) -> (B, g*g, token_dim), row-major over the grid
         out = ad.transpose(out, (0, 2, 3, 1))
         return ad.reshape(out, (b, g * g, cfg.token_dim))
-    tokens = ad.add(ad.matmul(x, params["tok.proj_w"]), params["tok.proj_b"])
+    tokens = ad.linear(x, params["tok.proj_w"], params["tok.proj_b"])
     if cfg.vit_internal_pose:
         tokens = ad.add(tokens, params["tok.pose"])  # broadcasts over the batch
     return tokens

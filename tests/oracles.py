@@ -210,6 +210,18 @@ def softmax_reference(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def layer_norm_reference(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Layer norm over the last axis, one row at a time in float64 with ``math.fsum``."""
+    rows = np.asarray(x, dtype=np.float64).reshape(-1, x.shape[-1])
+    n = rows.shape[1]
+    out = np.empty_like(rows)
+    for r, row in enumerate(rows.tolist()):
+        mu = math.fsum(row) / n
+        inv = 1.0 / math.sqrt(math.fsum((v - mu) ** 2 for v in row) / n + eps)
+        out[r] = [(v - mu) * inv * float(g) + float(b) for v, g, b in zip(row, gain, bias)]
+    return out.reshape(x.shape)
+
+
 def adam_first_step_delta(g: np.ndarray, lr: float, eps: float) -> np.ndarray:
     # After one bias-corrected step from zero moments: mhat = g, vhat = g*g.
     return -lr * g / (np.sqrt(g * g) + eps)

@@ -5,6 +5,8 @@ bound; the relative error uses a 1e-4 denominator floor so near-zero
 entries compare absolutely.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from oracles import (
     fd_gradient,
     gelu_erf_reference,
     gelu_reference,
+    layer_norm_reference,
     max_rel_err,
     softmax_reference,
     triple_loop_matmul,
@@ -67,7 +70,7 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_softmax_uniform_shift_closed_form():
-    x = ad.softmax(Tensor(np.zeros(3)), axis=-1)
+    x = ad.softmax(Tensor(np.zeros(3)))
     assert np.allclose(x.data, 1.0 / 3.0, atol=0, rtol=1e-15)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(7)
@@ -77,7 +80,7 @@ def test_softmax_uniform_shift_closed_form():
     two = ad.softmax(Tensor(np.array([0.0, np.log(2.0)]))).data
     assert np.max(np.abs(two - np.array([1 / 3, 2 / 3]))) < 1e-12
     batch = rng.standard_normal((4, 5, 6))
-    rows = ad.softmax(Tensor(batch), axis=-1).data
+    rows = ad.softmax(Tensor(batch)).data
     assert np.all(rows >= 0) and np.all(rows <= 1)
     assert np.max(np.abs(rows.sum(axis=-1) - 1.0)) < 1e-6
     assert np.max(np.abs(rows - np.apply_along_axis(softmax_reference, -1, batch))) < 1e-12
@@ -104,6 +107,16 @@ def test_layer_norm_constant_vector_is_near_zero():
     x = Tensor(np.full((4, 6), 2.5))
     out = ad.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
     assert np.max(np.abs(out.data)) < 1e-3  # epsilon absorbs the zero variance
+
+
+def test_layer_norm_f32_stays_within_1e_6_of_the_reference():
+    rng = np.random.default_rng(12)
+    x = (rng.standard_normal((8, 16, 64)) * 3.0 + 2.0).astype(np.float32)
+    gain = (1.0 + 0.1 * rng.standard_normal(64)).astype(np.float32)
+    bias = (0.1 * rng.standard_normal(64)).astype(np.float32)
+    out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    assert out.dtype == np.float32
+    assert np.max(np.abs(out - layer_norm_reference(x, gain, bias))) < 1e-6
 
 
 def test_cross_entropy_uniform_logits_is_log_c():
@@ -193,12 +206,74 @@ def test_grad_matmul_2d_and_batched():
     check_grads(lambda: ad.mean(ad.gelu(ad.matmul(ab, bb))), [ab, bb])
 
 
+def test_grad_linear_2d_and_3d():
+    rng = np.random.default_rng(13)
+    w = t(rng.standard_normal((4, 5)))
+    b = t(rng.standard_normal(5))
+    for shape in ((3, 4), (2, 3, 4)):
+        x = t(rng.standard_normal(shape))
+        m = Tensor(rng.standard_normal(shape[:-1] + (5,)))
+        check_grads(lambda: ad.sum_(ad.mul(ad.linear(x, w, b), m)), [x, w, b])
+
+
+def causal_mask(length, dtype=np.float64):
+    return np.triu(np.full((length, length), -1e9, dtype=dtype), k=1)
+
+
+def key_pad_mask(key_pad, dtype=np.float64):
+    """(B, 1, L, L): the causal mask plus -1e9 on every padding key."""
+    pad = np.where(key_pad, -1e9, 0.0).astype(dtype)
+    return causal_mask(key_pad.shape[1], dtype)[None, None] + pad[:, None, None, :]
+
+
+def unfused_attention(qkv, mask, n_heads):
+    """The attention core as separate tape ops: matmul, mul, add, softmax, matmul."""
+    bsz, length, width = qkv.shape
+    d = width // 3
+    hd = d // n_heads
+
+    def heads(s):
+        part = ad.getitem(qkv, (Ellipsis, slice(s * d, (s + 1) * d)))
+        return ad.transpose(ad.reshape(part, (bsz, length, n_heads, hd)), (0, 2, 1, 3))
+
+    q, k, v = heads(0), heads(1), heads(2)
+    scale = Tensor(np.asarray(1.0 / math.sqrt(hd), dtype=qkv.dtype))
+    att = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
+    att = ad.softmax(ad.add(att, Tensor(mask)))
+    o = ad.matmul(att, v)
+    return ad.reshape(ad.transpose(o, (0, 2, 1, 3)), (bsz, length, d))
+
+
+KEY_PAD = np.array([[False] * 5, [False, False, False, True, True]])
+
+
+@pytest.mark.parametrize("masked", ["causal", "key_pad"])
+def test_grad_attention(masked):
+    rng = np.random.default_rng(14)
+    qkv = t(rng.standard_normal((2, 5, 18)))  # d = 6, 2 heads of 3
+    mask = causal_mask(5) if masked == "causal" else key_pad_mask(KEY_PAD)
+    m = Tensor(rng.standard_normal((2, 5, 6)))
+    check_grads(lambda: ad.sum_(ad.mul(ad.attention(qkv, mask, 2), m)), [qkv])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_forward_is_bitwise_the_unfused_composition(dtype):
+    rng = np.random.default_rng(15)
+    qkv = Tensor(rng.standard_normal((3, 7, 24)).astype(dtype))  # d = 8, 4 heads of 2
+    key_pad = np.zeros((3, 7), dtype=bool)
+    key_pad[1, 5:] = key_pad[2, 3:] = True
+    for mask in (causal_mask(7, dtype), key_pad_mask(key_pad, dtype)):
+        fused = ad.attention(qkv, mask, 4).data
+        assert fused.dtype == dtype
+        assert fused.tobytes() == unfused_attention(qkv, mask, 4).data.tobytes()
+
+
 def test_grad_gelu_softmax():
     rng = np.random.default_rng(5)
     x = t(rng.standard_normal((3, 7)))
     w = t(rng.standard_normal(7))
     check_grads(lambda: ad.sum_(ad.mul(ad.gelu(x), w)), [x, w])
-    check_grads(lambda: ad.sum_(ad.mul(ad.softmax(x, axis=-1), w)), [x, w])
+    check_grads(lambda: ad.sum_(ad.mul(ad.softmax(x), w)), [x, w])
 
 
 def test_grad_layer_norm():
@@ -251,9 +326,9 @@ def test_grad_structural_ops():
     check_grads(loss, [a, b])
     c = t(rng.standard_normal((4, 6)))
     w2 = Tensor(rng.standard_normal((2, 3)))
-    check_grads(lambda: ad.sum_(ad.mul(c[1:3, ::2], w2)), [c])
+    check_grads(lambda: ad.sum_(ad.mul(ad.getitem(c, (slice(1, 3), slice(None, None, 2))), w2)), [c])
     d = t(rng.standard_normal((3, 4)))
-    check_grads(lambda: ad.mean(ad.mul(d, d), axis=1, keepdims=False)[1], [d])
+    check_grads(lambda: ad.getitem(ad.mean(ad.mul(d, d), axis=1, keepdims=False), 1), [d])
 
 
 def test_getitem_rejects_array_and_list_indices():
@@ -263,8 +338,9 @@ def test_getitem_rejects_array_and_list_indices():
         with pytest.raises(TypeError, match="basic indices"):
             ad.getitem(x, idx)
     with pytest.raises(TypeError, match="basic indices"):
-        x[np.array([True, False, True])]
-    assert np.array_equal(x[1:, None, ..., 2].data, x.data[1:, None, ..., 2])
+        ad.getitem(x, np.array([True, False, True]))
+    basic = (slice(1, None), None, Ellipsis, 2)
+    assert np.array_equal(ad.getitem(x, basic).data, x.data[basic])
 
 
 def test_backward_sum_gives_ones_and_two_path_accumulation():

@@ -477,6 +477,11 @@ def test_exit_code_4_on_checkpoint_error(tmp_path, mini_corpus):
             "vocabulary lines must start with the PAD and UNK rows",
             id="vocab-no-pad-unk",
         ),
+        pytest.param(
+            lambda vocab, labels: (vocab, []),
+            "num_classes must be >= 2, got 0",
+            id="label-block-empty",
+        ),
     ],
 )
 def test_exit_code_4_on_corrupt_vocabulary_or_label_block(
@@ -498,6 +503,30 @@ def test_exit_code_4_on_corrupt_vocabulary_or_label_block(
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: corrupt checkpoint {bad}: {message}"]
     assert not (tmp_path / "o").exists()
+
+
+def test_exit_code_5_on_non_finite_gradient(mini_corpus, tmp_path, capsys, monkeypatch):
+    # The second train step's loss hands a NaN gradient to the logits.
+    real = ad.cross_entropy
+    steps = []
+
+    def poisoned(logits, labels):
+        loss = real(logits, labels)
+        if loss._backward is not None:
+            steps.append(loss)
+            if len(steps) == 2:
+                backward_fn = loss._backward
+                loss._backward = lambda g: backward_fn(np.full_like(g, np.nan))
+        return loss
+
+    monkeypatch.setattr(ad, "cross_entropy", poisoned)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path / "c.cfg", mini_run_config(mini_corpus["root"], out))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: epoch 1 step 2: non-finite gradient in emb.word"]
+    assert not (out / CHECKPOINT_NAME).exists()
 
 
 def test_exit_code_2_on_label_map_mismatch(trained_mini, tmp_path):

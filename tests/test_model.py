@@ -9,7 +9,7 @@ from vqagpt import kernels
 from vqagpt.autodiff import AdamState, Tensor
 from vqagpt.config import ModelConfig
 from vqagpt.embedding import VISION_TYPE, WORD_TYPE, TokenSequence
-from vqagpt.errors import CheckpointError, ConfigError
+from vqagpt.errors import CheckpointError, ConfigError, NonFiniteError
 from vqagpt.model import (
     VQAModel,
     build_sequence,
@@ -195,10 +195,10 @@ def test_logits_length_follows_num_classes():
     cfg = small_config(num_classes=18)
     m = init_params(cfg, seed=10, dtype=np.float64)
     rng = np.random.default_rng(11)
-    logits = classify(raw_sequence(rng, 3, cfg.d), m)[0]
+    logits = classify(raw_sequence(rng, 3, cfg.d), m).data[0]
     assert logits.shape == (18,)
-    assert np.all(np.isfinite(logits.data))
-    probs = softmax_reference(logits.data)
+    assert np.all(np.isfinite(logits))
+    probs = softmax_reference(logits)
     assert abs(probs.sum() - 1.0) < 1e-6
 
 
@@ -320,6 +320,33 @@ def test_train_step_label_range_error():
         train_step((feats, qids, np.array([0, 5])), m, AdamState())
     # cross_entropy raises before backward and Adam run
     assert m.flat.tobytes() == before.tobytes()
+
+
+def test_train_step_non_finite_loss_or_gradient_stops_before_adam(monkeypatch):
+    cfg = small_config()
+    m = init_params(cfg, seed=24, dtype=np.float32)
+    batch = batch_for(m, np.random.default_rng(25))
+    opt = AdamState(lr=1e-2)
+    m.params["h0.mlp_in_w"].data[0, 0] = np.nan
+    before = m.flat.copy()
+    with pytest.raises(NonFiniteError, match="^non-finite loss nan$"):
+        train_step(batch, m, opt)
+    assert m.flat.tobytes() == before.tobytes()
+
+    m = init_params(cfg, seed=24, dtype=np.float32)
+    real = ad.backward
+
+    def poisoned(root):
+        real(root)
+        m.params["head.fc1_b"].grad[1] = np.inf
+        m.params["h0.qkv_w"].grad[2, 3] = np.nan
+
+    monkeypatch.setattr(ad, "backward", poisoned)
+    before = m.flat.copy()
+    with pytest.raises(NonFiniteError, match=r"^non-finite gradient in h0\.qkv_w$"):
+        train_step(batch, m, opt)
+    assert m.flat.tobytes() == before.tobytes()
+    assert opt.step == 0 and opt.m is None
 
 
 def test_train_step_makes_one_adam_kernel_call(monkeypatch):

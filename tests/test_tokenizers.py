@@ -124,9 +124,9 @@ def rand_image(rng, size):
 
 
 def encode(imgs, cfg, params):
-    """Both tokenizer stages on raw images, as ``model.forward_logits`` runs them."""
+    """Both tokenizer stages on raw images, as ``model.forward_logits`` runs them; an ndarray."""
     dtype = next(iter(params.values())).data.dtype
-    return encode_images(image_features(imgs, cfg, dtype), cfg, params)
+    return encode_images(image_features(imgs, cfg, dtype), cfg, params).data
 
 
 def permute_patches(img, g, perm):
@@ -150,7 +150,7 @@ def test_token_count_is_grid_squared_and_deterministic(cfg):
     a = encode(img[None], cfg, params)[0]
     b = encode(img.copy()[None], cfg, params)[0]
     assert a.shape == (cfg.patch_grid**2, cfg.token_dim)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_init_params_seeded_determinism():
@@ -171,7 +171,7 @@ def test_vit_zero_init_gives_zero_tokens():
         t.data[...] = 0.0
     img = rand_image(np.random.default_rng(2), cfg.image_size)
     out = encode(img[None], cfg, params)[0]
-    assert np.all(out.data == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_vit_internal_pose_changes_swapped_token_multiset():
@@ -180,8 +180,8 @@ def test_vit_internal_pose_changes_swapped_token_multiset():
     rng = np.random.default_rng(4)
     img = rand_image(rng, cfg.image_size)
     swapped = permute_patches(img, cfg.patch_grid, [1, 0, 2, 3])
-    tok_a = encode(img[None], cfg, params)[0].data
-    tok_b = encode(swapped[None], cfg, params)[0].data
+    tok_a = encode(img[None], cfg, params)[0]
+    tok_b = encode(swapped[None], cfg, params)[0]
     sort = lambda m: m[np.lexsort(m.T[::-1])]
     assert not np.allclose(sort(tok_a), sort(tok_b))
 
@@ -191,11 +191,11 @@ def test_vit_pose_off_is_patch_permutation_equivariant():
     params = init_tokenizer_params(cfg, np.random.default_rng(5), np.float64)
     rng = np.random.default_rng(6)
     img = rand_image(rng, cfg.image_size)
-    base = encode(img[None], cfg, params)[0].data
+    base = encode(img[None], cfg, params)[0]
     for _ in range(5):
         perm = rng.permutation(cfg.patch_grid**2)
         shuffled = permute_patches(img, cfg.patch_grid, perm)
-        got = encode(shuffled[None], cfg, params)[0].data
+        got = encode(shuffled[None], cfg, params)[0]
         assert np.allclose(got, base[perm], atol=1e-12, rtol=0)
 
 
@@ -213,7 +213,7 @@ def test_vit_tokens_project_channel_major_patch_rows():
         block = x[r * p : (r + 1) * p, c * p : (c + 1) * p]
         row = [block[i, j, ch] for ch in range(3) for i in range(p) for j in range(p)]
         expected[k] = np.array(row) @ params["tok.proj_w"].data + params["tok.proj_b"].data
-    got = encode(img[None], cfg, params)[0].data
+    got = encode(img[None], cfg, params)[0]
     assert np.allclose(got, expected, atol=1e-12, rtol=0)
 
 
@@ -222,9 +222,9 @@ def test_encode_images_batch_matches_single():
         params = init_tokenizer_params(cfg, np.random.default_rng(9), np.float64)
         rng = np.random.default_rng(10)
         imgs = np.stack([rand_image(rng, cfg.image_size) for _ in range(3)])
-        batch = encode(imgs, cfg, params).data
+        batch = encode(imgs, cfg, params)
         for i in range(3):
-            single = encode(imgs[i][None], cfg, params)[0].data
+            single = encode(imgs[i][None], cfg, params)[0]
             assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
 
 
