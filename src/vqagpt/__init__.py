@@ -5,8 +5,8 @@ The package is layered bottom-up:
     kernels     numpy hot loops (channels-last conv patch gather im2col and
                 its disjoint-window adjoint col2im, row scatter, fused Adam)
     autodiff    reverse-mode Tensor engine + Adam over one flat buffer
-    config      run configuration grammar, and ModelConfig: the keys a model
-                is built from, flat under their run-config names
+    config      run configuration grammar; ModelKeys, the model keys that
+                RunConfig and ModelConfig (plus the data's sizes) share
     tokenizers  word vocabulary, cnn_lite / vit_lite vision tokenizers
     embedding   type + pose + token embedding, token sequencing
     model       one parameter registry over a flat buffer, decoder stack,

@@ -108,11 +108,10 @@ def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
     """
     if not samples:
         raise DataError("no samples to prepare")
-    model_cfg = cfg.to_model_config(vocab.size)
-    feats = np.empty((len(samples),) + feature_shape(model_cfg), dtype=_dtype_for(cfg))
+    feats = np.empty((len(samples),) + feature_shape(cfg), dtype=_dtype_for(cfg))
     for lo in range(0, len(samples), EVAL_CHUNK):
         chunk = load_images(dataset, samples[lo : lo + EVAL_CHUNK])
-        feats[lo : lo + len(chunk)] = image_features(chunk, model_cfg, feats.dtype)
+        feats[lo : lo + len(chunk)] = image_features(chunk, cfg, feats.dtype)
     qids = np.stack(
         [tokenize_question(s.question, vocab, cfg.max_question_len) for s in samples]
     )
@@ -163,11 +162,6 @@ def _load_split(cfg: RunConfig):
     test_ds = load_dataset(data_dir / "test.jsonl")
     if train_ds.label_map != test_ds.label_map:
         raise DataError("train and test label maps disagree")
-    if len(train_ds.label_map) != cfg.num_classes:
-        raise ConfigError(
-            f"config num_classes={cfg.num_classes} but label map has "
-            f"{len(train_ds.label_map)} classes"
-        )
     return train_ds, test_ds
 
 
@@ -184,7 +178,7 @@ def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
     if not train_samples:
         raise DataError("training split is empty")
     vocab = build_vocab([s.question for s in train_samples], cfg.min_word_count)
-    model = init_params(cfg.to_model_config(vocab.size), cfg.seed, dtype)
+    model = init_params(cfg.to_model_config(vocab.size, len(train_ds.label_map)), cfg.seed, dtype)
     opt = ad.AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     feats, qids, labels, types = _prepare_arrays(cfg, vocab, train_ds, train_samples)
     t_feats, t_qids, t_labels, t_types = _prepare_arrays(

@@ -1,15 +1,16 @@
 """Flat run configuration: "key = value" lines with "#" comments.
 
-Every key is declared once in ``RunConfig`` with its type and default;
-parsing validates against that schema and rejects unknown or duplicate
-keys.  ``serialize_config`` emits a canonical form whose reparse yields an
-equal config (parse -> serialize -> parse is a fixed point).  Two retired
-keys, which checkpoints written before their removal still carry, parse
-at the values such a run could hold and are then dropped.
+Every key is declared once, with its type and default: the model keys in
+``ModelKeys``, the rest in ``RunConfig``, which extends it.  Parsing
+validates against that schema and rejects unknown or duplicate keys.
+``serialize_config`` emits a canonical form whose reparse yields an equal
+config (parse -> serialize -> parse is a fixed point).  Three retired keys,
+which checkpoints written before their removal still carry, parse at the
+values such a run could hold and are then dropped.
 
-``ModelConfig`` is the slice a model is built from: the architecture,
-sequencing and vision tokenizer keys under their ``RunConfig`` names,
-plus the vocabulary size, validated in one place.
+``ModelConfig`` is what a model is built from: the ``ModelKeys`` plus the
+two sizes the data fixes, the vocabulary size and the class count (the
+label map's size).  Neither size is a run key.
 
 Defaults follow the source training recipe (80 epochs, batch 64,
 lr 1e-5, zero vision pose).  The "desk" profile overrides them with
@@ -25,45 +26,40 @@ from .errors import ConfigError
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    """What a model is built from: the ``RunConfig`` keys that shape it, plus the vocab size.
+class ModelKeys:
+    """The keys that shape a model, declared once for ``RunConfig`` and ``ModelConfig``."""
 
-    Each field but ``vocab_size`` has the name, type and default of the
-    ``RunConfig`` key that ``RunConfig.to_model_config`` copies into it.
-    """
-
+    # model architecture
     d: int = 64
     n_layers: int = 2
     n_heads: int = 4
     mlp_ratio: int = 4
     max_pos: int = 64
-    num_classes: int = 11
+    # sequencing / embedding scheme
     order: str = "early_word"  # early_word | early_vision
     vision_pose_mode: str = "zero"  # zero | actual
     use_type_embedding: bool = True
+    # vision tokenizer
     vision_backend: str = "cnn_lite"  # cnn_lite | vit_lite
     image_size: int = 32
     patch_grid: int = 4
     token_dim: int = 64
     vit_internal_pose: bool = False
-    vocab_size: int = 2
 
     def validate(self) -> None:
+        for key in ("d", "n_layers", "n_heads", "mlp_ratio", "max_pos", "image_size",
+                    "patch_grid", "token_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if self.d % self.n_heads != 0:
             raise ConfigError(f"d={self.d} not divisible by n_heads={self.n_heads}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.vocab_size < 2:
-            raise ConfigError("vocab_size must cover at least PAD and UNK")
         if self.order not in ("early_word", "early_vision"):
             raise ConfigError(f"unknown sequencing order {self.order!r}")
         if self.vision_pose_mode not in ("zero", "actual"):
             raise ConfigError(f"unknown vision_pose_mode {self.vision_pose_mode!r}")
         if self.vision_backend not in ("cnn_lite", "vit_lite"):
             raise ConfigError(f"unknown vision backend {self.vision_backend!r}")
-        if self.token_dim < 1:
-            raise ConfigError(f"token_dim must be >= 1, got {self.token_dim}")
-        if self.patch_grid < 1 or self.image_size % self.patch_grid != 0:
+        if self.image_size % self.patch_grid != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_grid {self.patch_grid}"
             )
@@ -87,24 +83,22 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # model architecture
-    d: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    mlp_ratio: int = 4
-    max_pos: int = 64
+class ModelConfig(ModelKeys):
+    """What a model is built from: the model keys plus the vocabulary size and class count."""
+
+    vocab_size: int = 2
     num_classes: int = 11
-    # sequencing / embedding scheme
-    order: str = "early_word"
-    vision_pose_mode: str = "zero"
-    use_type_embedding: bool = True
-    # vision tokenizer
-    vision_backend: str = "cnn_lite"
-    image_size: int = 32
-    patch_grid: int = 4
-    token_dim: int = 64
-    vit_internal_pose: bool = False
+
+    def validate(self) -> None:
+        super().validate()
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.vocab_size < 2:
+            raise ConfigError("vocab_size must cover at least PAD and UNK")
+
+
+@dataclass(frozen=True)
+class RunConfig(ModelKeys):
     # optimizer
     lr: float = 1e-5
     beta1: float = 0.9
@@ -130,12 +124,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.precision not in ("f32", "f64"):
             raise ConfigError(f"precision must be f32 or f64, got {self.precision!r}")
-        for key in ("epochs",):
+        for key in ("epochs", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0")
-        for key in ("d", "n_layers", "n_heads", "mlp_ratio", "max_pos", "batch_size",
-                    "max_question_len", "min_word_count", "n_samples", "grid_size",
-                    "templates_per_type", "patch_grid", "token_dim", "image_size"):
+        for key in ("batch_size", "max_question_len", "min_word_count", "n_samples",
+                    "grid_size", "templates_per_type"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         for key in ("lr", "beta1", "beta2", "eps"):
@@ -143,26 +136,30 @@ class RunConfig:
                 raise ConfigError(f"{key} must be > 0")
         if not (0.0 < self.test_fraction < 1.0):
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        # The model keys' enum and divisibility checks live with ModelConfig.
-        self.to_model_config(vocab_size=2).validate()
+        super().validate()
+        # The pose table holds word positions 0..max_question_len-1 and, in
+        # actual pose, vision positions 1..n_tokens.
+        vision_rows = self.n_tokens + 1 if self.vision_pose_mode == "actual" else 1
+        rows = max(self.max_question_len, vision_rows)
+        if self.max_pos < rows:
+            raise ConfigError(f"max_pos {self.max_pos} is below the {rows} pose rows needed")
 
-    def to_model_config(self, vocab_size: int, num_classes: int = None) -> ModelConfig:
-        """The model keys of this config; ``num_classes``, when given, overrides its own."""
-        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
-                  if f.name != "vocab_size"}
-        if num_classes is not None:
-            shared["num_classes"] = num_classes
-        return ModelConfig(vocab_size=vocab_size, **shared)
+    def to_model_config(self, vocab_size: int, num_classes: int) -> ModelConfig:
+        """The model keys of this config with the data's two sizes."""
+        keys = {f.name: getattr(self, f.name) for f in fields(ModelKeys)}
+        return ModelConfig(vocab_size=vocab_size, num_classes=num_classes, **keys)
 
 
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
-# Retired key -> (type, accepted values).  dropout was only ever legal at 0;
-# the projection switch had no effect short of an error, since the vision
-# projection exists exactly when token_dim != d.
+# Retired key -> (type, test of the values a run could hold, those values).
+# dropout was only ever legal at 0; the projection switch had no effect
+# short of an error, since the vision projection exists exactly when
+# token_dim != d; num_classes had to equal the label map's size.
 _RETIRED_KEYS = {
-    "dropout": (float, (0.0,)),
-    "use_vision_projection_path": (bool, (True, False)),
+    "dropout": (float, lambda v: v == 0.0, "0.0"),
+    "use_vision_projection_path": (bool, lambda v: True, "true or false"),
+    "num_classes": (int, lambda v: v >= 2, "an integer >= 2"),
 }
 
 PROFILES = {
@@ -238,10 +235,11 @@ def parse_config(text: str, base: RunConfig = None) -> RunConfig:
         seen.add(key)
         value = _parse_value(key, raw)
         if key in _RETIRED_KEYS:
-            if value not in _RETIRED_KEYS[key][1]:
+            _, held, accepted = _RETIRED_KEYS[key]
+            if not held(value):
                 raise ConfigError(
                     f"line {lineno}: retired key {key!r} = {raw.strip()} is not "
-                    f"supported; it only accepts {_RETIRED_KEYS[key][1]}"
+                    f"supported; it only accepts {accepted}"
                 )
             continue
         updates[key] = value

@@ -32,6 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import ModelConfig
 from .embedding import (
+    WORD_TYPE,
     TokenSequence,
     embed_vision,
     embed_words,
@@ -214,19 +215,12 @@ def build_sequence(
     return sequence(words_e, vision_e, cfg)
 
 
-def _padding_keys(question_ids: np.ndarray, model: VQAModel) -> np.ndarray:
-    """Boolean (B, L) marker of PAD word positions in sequence order."""
-    word_pad = np.asarray(question_ids) == PAD_ID
-    vision = np.zeros((word_pad.shape[0], model.config.n_tokens), dtype=bool)
-    if model.config.order == "early_word":
-        return np.concatenate([word_pad, vision], axis=1)
-    return np.concatenate([vision, word_pad], axis=1)
-
-
 def feature_logits(features: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> ad.Tensor:
     """Class logits (B, num_classes) from image features and question ids."""
     seq = build_sequence(features, question_ids, model)
-    return classify(seq, model, key_pad=_padding_keys(question_ids, model))
+    key_pad = np.zeros((len(question_ids), seq.length), dtype=bool)
+    key_pad[:, seq.modality == WORD_TYPE] = np.asarray(question_ids) == PAD_ID
+    return classify(seq, model, key_pad=key_pad)
 
 
 def forward_logits(images: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> ad.Tensor:

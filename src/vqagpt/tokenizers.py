@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import ModelConfig
+from .config import ModelConfig, ModelKeys
 from .errors import DataError
 
 PAD_TOKEN = "<pad>"
@@ -204,7 +204,7 @@ def init_tokenizer_params(cfg: ModelConfig, rng: np.random.Generator, dtype) -> 
     return params
 
 
-def _check_image_batch(imgs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+def _check_image_batch(imgs: np.ndarray, cfg: ModelKeys) -> np.ndarray:
     imgs = np.asarray(imgs)
     if imgs.ndim != 4 or imgs.shape[3] != 3:
         raise DataError(f"expected image batch (B, H, W, 3), got shape {imgs.shape}")
@@ -216,7 +216,7 @@ def _check_image_batch(imgs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return np.ascontiguousarray(imgs.transpose(0, 3, 1, 2))  # to (B, 3, H, W)
 
 
-def feature_shape(cfg: ModelConfig) -> tuple:
+def feature_shape(cfg: ModelKeys) -> tuple:
     """Per-sample shape of ``image_features``: the learned stage's input."""
     if cfg.vision_backend == "cnn_lite":
         half = cfg.image_size // 2
@@ -225,7 +225,7 @@ def feature_shape(cfg: ModelConfig) -> tuple:
     return (cfg.n_tokens, 3 * p * p)
 
 
-def image_features(imgs: np.ndarray, cfg: ModelConfig, dtype) -> np.ndarray:
+def image_features(imgs: np.ndarray, cfg: ModelKeys, dtype) -> np.ndarray:
     """Parameter-free image stage: (B, H, W, 3) floats -> (B, *feature_shape(cfg)).
 
     It depends on the image alone, and on each sample alone, so a caller

@@ -80,7 +80,6 @@ def _tiny_fd_config(backend: str, token_dim: int) -> RunConfig:
         n_heads=2,
         mlp_ratio=2,
         max_pos=16,
-        num_classes=3,
         vision_backend=backend,
         image_size=8,
         patch_grid=2,
@@ -104,7 +103,7 @@ def test_1_gradient_oracle(capfd):
             [tokenize_question("what color here", vocab, 3) for _ in range(2)]
         )
         labels = np.array([0, 2], dtype=np.int64)
-        model = init_params(cfg.to_model_config(vocab.size), seed=3, dtype=np.float64)
+        model = init_params(cfg.to_model_config(vocab.size, 3), seed=3, dtype=np.float64)
 
         def loss_value() -> float:
             with ad.no_grad():
@@ -150,7 +149,7 @@ def test_2_causality_suite(capfd):
     per_order = CAUSALITY_TRIALS // 2
     for order in ("early_word", "early_vision"):
         cfg = replace(base, d=16, n_heads=2, max_question_len=8, order=order)
-        model = init_params(cfg.to_model_config(vocab.size), seed=4, dtype=np.float64)
+        model = init_params(cfg.to_model_config(vocab.size, 3), seed=4, dtype=np.float64)
         images = rng.random((2, 8, 8, 3), dtype=np.float64)
         qids = np.stack(
             [
@@ -179,7 +178,7 @@ def test_2_causality_suite(capfd):
     # early_word: word positions precede all vision tokens, so their hidden
     # states must be bitwise independent of the image.
     cfg = replace(base, d=16, n_heads=2, max_question_len=8, order="early_word")
-    model = init_params(cfg.to_model_config(vocab.size), seed=4, dtype=np.float64)
+    model = init_params(cfg.to_model_config(vocab.size, 3), seed=4, dtype=np.float64)
     qids = np.stack([tokenize_question("what shape sits at the top", vocab, 8)] * 2)
     n_words = qids.shape[1]
     for trial in range(10):
@@ -340,7 +339,9 @@ def test_5_desk_learning(desk_corpus, tmp_path, capfd):
     samples = list(train_ds.samples)[:8]
     vocab = build_vocab([s.question for s in samples], cfg.min_word_count)
     images, qids, labels, _ = _prepare_arrays(cfg, vocab, train_ds, samples)
-    model = init_params(cfg.to_model_config(vocab.size), cfg.seed, _dtype_for(cfg))
+    model = init_params(
+        cfg.to_model_config(vocab.size, len(train_ds.label_map)), cfg.seed, _dtype_for(cfg)
+    )
     opt = ad.AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     overfit_step, overfit_loss = None, float("inf")
     for step in range(1, OVERFIT_STEP_BUDGET + 1):

@@ -19,6 +19,7 @@ from vqagpt.cli import CHECKPOINT_NAME, EVAL_CSV, METRICS_CSV, main
 from vqagpt.config import (
     PROFILES,
     ModelConfig,
+    ModelKeys,
     RunConfig,
     apply_profile,
     load_config_file,
@@ -109,12 +110,15 @@ def test_parse_accepts_retired_keys_of_older_checkpoints():
     )
     assert parse_config(off) == desk
     text = serialize_config(desk)
-    assert "dropout" not in text and "use_vision_projection_path" not in text
+    for retired in ("dropout", "use_vision_projection_path", "num_classes"):
+        assert retired not in text
     assert parse_config(text) == desk
     assert serialize_config(parse_config(text)) == text
     # a value the older code could not train with is still an error
     with pytest.raises(ConfigError, match="dropout"):
         parse_config(OLD_DESK_CONFIG_TEXT.replace("dropout = 0.0", "dropout = 0.1"))
+    with pytest.raises(ConfigError, match="num_classes"):
+        parse_config(OLD_DESK_CONFIG_TEXT.replace("num_classes = 11", "num_classes = 1"))
 
 
 def test_parse_applies_onto_base_and_ignores_comments():
@@ -178,11 +182,10 @@ def test_validate_rejects_bad_ranges():
 
 
 def test_model_config_fields_are_run_config_keys_that_to_model_config_copies():
-    run_fields = {f.name: f for f in fields(RunConfig)}
-    shared = [f for f in fields(ModelConfig) if f.name != "vocab_size"]
-    for f in shared:
-        assert f.name in run_fields, f.name
-        assert (f.type, f.default) == (run_fields[f.name].type, run_fields[f.name].default), f.name
+    shared = fields(ModelKeys)
+    sizes = {"vocab_size", "num_classes"}
+    assert {f.name for f in fields(ModelConfig)} == {f.name for f in shared} | sizes
+    assert not sizes & {f.name for f in fields(RunConfig)}
 
     def changed(v):
         if isinstance(v, bool):
@@ -190,11 +193,10 @@ def test_model_config_fields_are_run_config_keys_that_to_model_config_copies():
         return v + 1 if isinstance(v, int) else v + "_x"
 
     cfg = replace(RunConfig(), **{f.name: changed(f.default) for f in shared})
-    got = cfg.to_model_config(13)
-    assert got.vocab_size == 13
+    got = cfg.to_model_config(13, 3)
+    assert (got.vocab_size, got.num_classes) == (13, 3)
     for f in shared:
         assert getattr(got, f.name) == getattr(cfg, f.name) != f.default, f.name
-    assert cfg.to_model_config(13, 3).num_classes == 3
 
 
 def test_load_config_file_missing_path_errors(tmp_path):
@@ -260,9 +262,9 @@ def test_epochs_zero_checkpoint_equals_initialization(mini_corpus, tmp_path):
     rows = read_csv(out / METRICS_CSV)
     assert [r["epoch"] for r in rows] == ["0"]
 
-    _, vocab_lines, _, tensors = load_checkpoint(out / CHECKPOINT_NAME)
+    _, vocab_lines, label_lines, tensors = load_checkpoint(out / CHECKPOINT_NAME)
     vocab = Vocabulary.from_lines(vocab_lines)
-    fresh = init_params(cfg.to_model_config(vocab.size), cfg.seed, np.float32)
+    fresh = init_params(cfg.to_model_config(vocab.size, len(label_lines)), cfg.seed, np.float32)
     assert set(tensors) == set(fresh.params)
     for name, arr in tensors.items():
         assert np.array_equal(arr, fresh.params[name].data), name
@@ -388,6 +390,22 @@ def test_eval_after_overfit_scores_train_set_near_one(tmp_path):
     assert float(overall["acc"]) >= 0.99
 
 
+def test_grid_3_corpus_trains_and_evaluates_at_its_own_class_count(tmp_path):
+    # A grid-3 corpus has 16 answer classes.  The run config names no class
+    # count, so the head's width comes from labels.tsv alone.
+    data, out = tmp_path / "grid3", tmp_path / "grid3_out"
+    cfg = mini_run_config(
+        data, out, grid_size=3, image_size=48, patch_grid=3, n_samples=40, epochs=1
+    )
+    cfg_path = write_config(tmp_path / "g3.cfg", cfg)
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train", "--config", cfg_path]) == 0
+    ckpt = str(out / CHECKPOINT_NAME)
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(data), "--out", str(out)]) == 0
+    assert len((data / "labels.tsv").read_text().splitlines()) == 16
+    assert load_checkpoint(ckpt)[3]["head.fc2_b"].shape == (16,)
+
+
 # ---------------------------------------------------------------------------
 # rephrased-query protocol
 
@@ -423,11 +441,25 @@ def test_rephrased_holdout_training_and_eval(mini_corpus, tmp_path, capsys):
 # exit codes
 
 
-def test_exit_code_2_on_config_error(tmp_path):
+def test_exit_code_2_on_config_error(mini_corpus, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     for text in ("no_such_key = 1\n", "dropout = 0.1\n"):
         bad.write_text(text)
         assert main(["train", "--config", str(bad)]) == 2
+    # Pose tables too short for the sequence: 12 word positions in 8 rows,
+    # then 16 actual-pose vision tokens (rows 1..16) in 12 rows.
+    for overrides in ({"max_pos": 8}, {"max_pos": 12, "patch_grid": 4}):
+        cfg = mini_run_config(mini_corpus["root"], tmp_path / "out", **overrides)
+        capsys.readouterr()
+        assert main(["train", "--config", write_config(bad, cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: max_pos ")
+    # The generator and the initializer draw on PCG64, which takes no negative seed.
+    gen_cfg = replace(RunConfig(), n_samples=8, image_size=16, data_dir=str(tmp_path / "d"))
+    assert main(["gen-data", "--config", write_config(bad, gen_cfg), "--seed", "-1"]) == 2
+    cfg = mini_run_config(mini_corpus["root"], tmp_path / "out")
+    assert main(["train", "--config", write_config(bad, cfg), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0"] * 2
+    assert not (tmp_path / "d").exists() and not (tmp_path / "out").exists()
 
 
 def test_exit_code_3_on_data_error(mini_corpus, tmp_path):

@@ -112,6 +112,8 @@ def test_param_count_matches_hand_count():
 def test_config_validation_errors():
     with pytest.raises(ConfigError, match="divisible"):
         small_config(d=9).validate()
+    with pytest.raises(ConfigError, match="n_heads"):
+        small_config(n_heads=0).validate()
     with pytest.raises(ConfigError, match="num_classes"):
         small_config(num_classes=1).validate()
     with pytest.raises(ConfigError, match="vocab_size"):
