@@ -11,7 +11,8 @@ The package is layered bottom-up:
     embedding   type + pose + token embedding, token sequencing
     model       one parameter registry over a flat buffer, decoder stack,
                 head, checkpoints
-    data        synthetic shapes-VQA corpus (PPM + JSONL)
+    data        synthetic shapes-VQA corpus (PPM + JSONL), generated
+                from a RunConfig's corpus keys
     metrics     accuracy / macro recall / macro F-score / confusion
     cli         the command-line harness
 """
@@ -30,7 +31,7 @@ from .autodiff import (
     softmax,
 )
 from .config import ModelConfig, RunConfig, parse_config, serialize_config
-from .data import GeneratorSpec, VQADataset, VQASample, generate_synthetic, load_dataset
+from .data import VQADataset, VQASample, generate_synthetic, load_dataset
 from .embedding import TokenSequence, embed_vision, embed_words, sequence
 from .errors import CheckpointError, ConfigError, DataError, NonFiniteError, VqagptError
 from .metrics import MetricsReport, compute_metrics
@@ -52,7 +53,7 @@ __all__ = [
     "embedding_lookup", "gelu", "layer_norm", "matmul", "no_grad",
     "softmax",
     "ModelConfig", "RunConfig", "parse_config", "serialize_config",
-    "GeneratorSpec", "VQADataset", "VQASample", "generate_synthetic", "load_dataset",
+    "VQADataset", "VQASample", "generate_synthetic", "load_dataset",
     "TokenSequence", "embed_vision", "embed_words", "sequence",
     "CheckpointError", "ConfigError", "DataError", "NonFiniteError", "VqagptError",
     "MetricsReport", "compute_metrics",

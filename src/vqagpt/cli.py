@@ -30,7 +30,6 @@ from .config import (
     serialize_config,
 )
 from .data import (
-    GeneratorSpec,
     generate_synthetic,
     label_lines,
     load_dataset,
@@ -230,13 +229,7 @@ def _write_csv(path, header, rows) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
-    spec = GeneratorSpec(
-        grid=cfg.grid_size,
-        image_size=cfg.image_size,
-        templates_per_type=cfg.templates_per_type,
-        test_fraction=cfg.test_fraction,
-    )
-    train_ds, test_ds = generate_synthetic(cfg.seed, cfg.n_samples, spec, cfg.data_dir)
+    train_ds, test_ds = generate_synthetic(cfg)
     print(
         f"wrote {len(train_ds)} train / {len(test_ds)} test samples "
         f"({len(train_ds.label_map)} classes) to {cfg.data_dir}"
@@ -276,20 +269,20 @@ def _eval_blocks(dataset, rephrased: bool):
 
 def cmd_eval(args) -> int:
     config_text, vocab_lines, label_block, tensors = load_checkpoint(args.checkpoint)
-    cfg = parse_config(config_text)
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.data:
-        cfg = replace(cfg, data_dir=args.data)
-    cfg.validate()
-    # cfg is valid: a model config error comes from the checkpoint's blocks
+    # Every config or model error here comes from the checkpoint's own blocks.
     try:
+        cfg = parse_config(config_text)
+        cfg.validate()
         vocab = Vocabulary.from_lines(vocab_lines)
         ckpt_label_map = parse_label_lines(label_block, "label map block")
         model_cfg = cfg.to_model_config(vocab.size, len(ckpt_label_map))
         model_cfg.validate()
     except (ValueError, ConfigError, DataError) as exc:
         raise CheckpointError(f"corrupt checkpoint {args.checkpoint}: {exc}") from exc
+    if args.out:
+        cfg = replace(cfg, out_dir=args.out)
+    if args.data:
+        cfg = replace(cfg, data_dir=args.data)
     model = restore_model(model_cfg, tensors, _dtype_for(cfg))
     test_ds = load_dataset(Path(cfg.data_dir) / "test.jsonl")
     if test_ds.label_map != ckpt_label_map:

@@ -12,6 +12,9 @@ exact.  The answer label set is colors + shapes + count words, and the
 generator cycles through target answer classes while building scenes that
 realize them, which keeps every class within a few counts of uniform.
 
+``generate_synthetic`` reads the corpus keys straight from a ``RunConfig``,
+so ``image_size`` is one value for the generator and the vision tokenizer.
+
 Train/test scene disjointness is structural: every scene is regenerated
 until a stable fingerprint (crc32 of its cell list) has even parity for
 train samples and odd parity for test samples, so the two pools can never
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -74,49 +77,15 @@ QUESTION_TYPES = tuple(_TEMPLATES)
 MAX_TEMPLATES = min(len(t) for t in _TEMPLATES.values())
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Knobs for the synthetic corpus."""
+def answer_classes(grid: int) -> list:
+    """The answer names of a ``grid``-by-``grid`` corpus, in class-id order."""
+    return list(COLORS) + list(SHAPES) + list(COUNT_WORDS[: grid * grid + 1])
 
-    grid: int = 2
-    image_size: int = 32
-    templates_per_type: int = 3
-    test_fraction: float = 0.2
 
-    def validate(self) -> None:
-        if self.grid < 1:
-            raise DataError(f"grid must be >= 1, got {self.grid}")
-        n_cells = self.grid * self.grid
-        if n_cells + 1 > len(COUNT_WORDS):
-            # count answers go 0..n_cells; a bigger grid has no count word
-            raise DataError(f"grid {self.grid} yields counts beyond {len(COUNT_WORDS) - 1}")
-        if self.image_size % self.grid != 0:
-            raise DataError(
-                f"image_size {self.image_size} not divisible by grid {self.grid}"
-            )
-        if not (2 <= self.templates_per_type <= MAX_TEMPLATES):
-            raise DataError(
-                f"templates_per_type must be in [2, {MAX_TEMPLATES}], "
-                f"got {self.templates_per_type}"
-            )
-        if not (0.0 < self.test_fraction < 1.0):
-            raise DataError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-
-    @property
-    def n_cells(self) -> int:
-        return self.grid * self.grid
-
-    def answer_classes(self) -> list:
-        return list(COLORS) + list(SHAPES) + list(COUNT_WORDS[: self.n_cells + 1])
-
-    def position_names(self) -> list:
-        if self.grid == 2:
-            return list(_POS_NAMES_2)
-        return [
-            f"row {r + 1} column {c + 1}"
-            for r in range(self.grid)
-            for c in range(self.grid)
-        ]
+def position_names(grid: int) -> list:
+    if grid == 2:
+        return list(_POS_NAMES_2)
+    return [f"row {r + 1} column {c + 1}" for r in range(grid) for c in range(grid)]
 
 
 @dataclass
@@ -163,18 +132,17 @@ def _shape_mask(shape: str, cell: int) -> np.ndarray:
     raise DataError(f"unknown shape {shape!r}")
 
 
-def render_scene(scene: list, spec: GeneratorSpec) -> np.ndarray:
-    """Rasterize a scene (list of (shape, color), row-major) to (S, S, 3)."""
-    if len(scene) != spec.n_cells:
-        raise DataError(f"scene has {len(scene)} cells, expected {spec.n_cells}")
-    size = spec.image_size
-    cell = size // spec.grid
+def render_scene(scene: list, grid: int, size: int) -> np.ndarray:
+    """Rasterize a scene (list of (shape, color), row-major) to (size, size, 3)."""
+    if len(scene) != grid * grid:
+        raise DataError(f"scene has {len(scene)} cells, expected {grid * grid}")
+    cell = size // grid
     img = np.full((size, size, 3), _BACKGROUND, dtype=np.float32)
     for idx, (shape, color) in enumerate(scene):
         if color not in _COLOR_RGB:
             raise DataError(f"unknown color {color!r}")
-        rr = (idx // spec.grid) * cell
-        cc = (idx % spec.grid) * cell
+        rr = (idx // grid) * cell
+        cc = (idx % grid) * cell
         mask = _shape_mask(shape, cell)
         img[rr : rr + cell, cc : cc + cell][mask] = _COLOR_RGB[color]
     return img
@@ -213,9 +181,8 @@ def _random_scene(rng: np.random.Generator, n_cells: int) -> list:
     ]
 
 
-def _scene_for_target(rng: np.random.Generator, spec: GeneratorSpec, target: str):
+def _scene_for_target(rng: np.random.Generator, n_cells: int, target: str):
     """Build (scene, qtype, arg) whose answer is exactly ``target``."""
-    n_cells = spec.n_cells
     if target in COLORS:
         scene = _random_scene(rng, n_cells)
         pos = int(rng.integers(0, n_cells))
@@ -246,31 +213,39 @@ def _scene_for_target(rng: np.random.Generator, spec: GeneratorSpec, target: str
 # generation
 
 
-def _question_text(spec: GeneratorSpec, qtype: str, arg, template_id: int) -> str:
+def _question_text(grid: int, qtype: str, arg, template_id: int) -> str:
     template = _TEMPLATES[qtype][template_id]
     if qtype == "count":
         return template.format(shape=arg)
-    return template.format(pos=spec.position_names()[arg])
+    return template.format(pos=position_names(grid)[arg])
 
 
-def generate_synthetic(seed: int, n_samples: int, spec: GeneratorSpec, out_dir):
-    """Write a synthetic corpus under ``out_dir``; returns (train, test) datasets.
+def generate_synthetic(cfg):
+    """Write the corpus a ``RunConfig`` describes under ``cfg.data_dir``; returns (train, test).
 
-    Deterministic in ``seed``: identical seeds produce identical files.
+    Reads ``seed``, ``n_samples``, ``grid_size``, ``image_size``,
+    ``templates_per_type`` and ``test_fraction``.  Deterministic in the
+    config: equal configs produce identical files.
     """
-    spec.validate()
-    if n_samples < 1:
-        raise DataError(f"n_samples must be >= 1, got {n_samples}")
-    out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    classes = spec.answer_classes()
-    label_map = {name: i for i, name in enumerate(classes)}
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n_test = max(1, int(round(n_samples * spec.test_fraction)))
+    n_samples, grid, size = cfg.n_samples, cfg.grid_size, cfg.image_size
+    k = cfg.templates_per_type
+    # RunConfig.validate owns the ranges; these checks rest on this module's tables.
+    if grid * grid + 1 > len(COUNT_WORDS):
+        # count answers go 0..n_cells; a bigger grid has no count word
+        raise DataError(f"grid {grid} yields counts beyond {len(COUNT_WORDS) - 1}")
+    if size % grid != 0:
+        raise DataError(f"image_size {size} not divisible by grid {grid}")
+    if not (2 <= k <= MAX_TEMPLATES):
+        raise DataError(f"templates_per_type must be in [2, {MAX_TEMPLATES}], got {k}")
+    n_test = max(1, int(round(n_samples * cfg.test_fraction)))
     n_train = n_samples - n_test
     if n_train < 1:
         raise DataError(f"n_samples {n_samples} leaves no training samples")
-    k = spec.templates_per_type
+    out_dir = Path(cfg.data_dir)
+    (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    classes = answer_classes(grid)
+    label_map = {name: i for i, name in enumerate(classes)}
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
     train_samples: list = []
     test_samples: list = []
@@ -278,7 +253,7 @@ def generate_synthetic(seed: int, n_samples: int, spec: GeneratorSpec, out_dir):
         split_parity = 0 if i < n_train else 1
         target = classes[i % len(classes)]
         for attempt in range(10000):
-            scene, qtype, arg = _scene_for_target(rng, spec, target)
+            scene, qtype, arg = _scene_for_target(rng, grid * grid, target)
             if _scene_parity(scene) == split_parity:
                 break
         else:
@@ -289,9 +264,9 @@ def generate_synthetic(seed: int, n_samples: int, spec: GeneratorSpec, out_dir):
         if answer != target:  # construction bug guard, never data-dependent
             raise DataError(f"generator built answer {answer!r} for target {target!r}")
         template_id = int(rng.integers(0, k))
-        question = _question_text(spec, qtype, arg, template_id)
+        question = _question_text(grid, qtype, arg, template_id)
         rel_image = f"images/{i:05d}.ppm"
-        write_ppm(out_dir / rel_image, render_scene(scene, spec))
+        write_ppm(out_dir / rel_image, render_scene(scene, grid, size))
         sample = VQASample(
             image_path=rel_image,
             question=question,
@@ -371,15 +346,16 @@ def load_label_map(path) -> dict:
         return parse_label_lines(f, str(path))
 
 
-def load_dataset(manifest, label_map_path=None) -> VQADataset:
-    """Parse a JSON-lines manifest; every error names the offending line."""
+def load_dataset(manifest) -> VQADataset:
+    """Parse a JSON-lines manifest and the ``labels.tsv`` beside it.
+
+    Every error names the offending line.
+    """
     manifest = Path(manifest)
     if not manifest.exists():
         raise DataError(f"manifest not found: {manifest}")
     root = manifest.parent
-    if label_map_path is None:
-        label_map_path = root / "labels.tsv"
-    label_map = load_label_map(label_map_path)
+    label_map = load_label_map(root / "labels.tsv")
     samples: list = []
     with open(manifest, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):

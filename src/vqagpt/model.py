@@ -281,7 +281,17 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 def _read_block(f, what: str) -> bytes:
     (n,) = struct.unpack("<Q", _read_exact(f, 8, f"{what} length"))
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        # checked before reading, so a corrupt length never sizes a buffer
+        raise CheckpointError(f"truncated checkpoint while reading {what}")
     return _read_exact(f, n, what)
+
+
+def _read_text(f, what: str, encoding: str = "utf-8") -> str:
+    try:
+        return _read_block(f, what).decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"corrupt checkpoint: {what} is not {encoding} text") from exc
 
 
 def save_checkpoint(
@@ -338,14 +348,14 @@ def load_checkpoint(path):
         (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        config_text = _read_block(f, "config block").decode("utf-8")
-        vocab_text = _read_block(f, "vocabulary block").decode("utf-8")
-        label_text = _read_block(f, "label map block").decode("utf-8")
+        config_text = _read_text(f, "config block")
+        vocab_text = _read_text(f, "vocabulary block")
+        label_text = _read_text(f, "label map block")
         (n_tensors,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
         tensors: dict = {}
         for _ in range(n_tensors):
-            name = _read_block(f, "tensor name").decode("utf-8")
-            dtype_str = _read_block(f, f"dtype of {name}").decode("ascii")
+            name = _read_text(f, "tensor name")
+            dtype_str = _read_text(f, f"dtype of {name}", "ascii")
             (ndim,) = struct.unpack("<I", _read_exact(f, 4, f"ndim of {name}"))
             shape = tuple(
                 struct.unpack("<Q", _read_exact(f, 8, f"shape of {name}"))[0]
@@ -356,6 +366,8 @@ def load_checkpoint(path):
                 arr = np.frombuffer(raw, dtype=np.dtype(dtype_str)).reshape(shape).copy()
             except (TypeError, ValueError) as exc:
                 raise CheckpointError(f"corrupt tensor {name!r}: {exc}") from exc
+            if arr.dtype.kind != "f":
+                raise CheckpointError(f"corrupt tensor {name!r}: {dtype_str} is not a float dtype")
             tensors[name] = arr
         trailing = f.read(1)
         if trailing:

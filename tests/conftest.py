@@ -8,40 +8,35 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from dataclasses import replace
+
 import pytest
 
 from vqagpt.config import RunConfig, apply_profile
-from vqagpt.data import GeneratorSpec, generate_synthetic
+from vqagpt.data import generate_synthetic
 
 
 @pytest.fixture(scope="session")
 def mini_corpus(tmp_path_factory):
     """A small corpus sized for CLI and reproducibility tests (16px images)."""
     root = tmp_path_factory.mktemp("mini_corpus")
-    spec = GeneratorSpec(grid=2, image_size=16, templates_per_type=3, test_fraction=0.25)
-    train, test = generate_synthetic(seed=11, n_samples=264, spec=spec, out_dir=root)
-    return {"root": root, "train": train, "test": test, "spec": spec}
+    cfg = mini_run_config(root, root / "run", seed=11, test_fraction=0.25)
+    train, test = generate_synthetic(cfg)
+    return {"root": root, "train": train, "test": test, "cfg": cfg}
 
 
 @pytest.fixture(scope="session")
 def desk_corpus(tmp_path_factory):
-    """The full desk-profile corpus used by the learning benchmark."""
+    """The full desk-profile corpus used by the learning benchmark: what
+    ``gen-data --profile desk`` writes."""
     root = tmp_path_factory.mktemp("desk_corpus")
-    cfg = apply_profile(RunConfig(), "desk")
-    spec = GeneratorSpec(
-        grid=cfg.grid_size,
-        image_size=cfg.image_size,
-        templates_per_type=cfg.templates_per_type,
-        test_fraction=cfg.test_fraction,
-    )
-    train, test = generate_synthetic(cfg.seed, cfg.n_samples, spec, out_dir=root)
-    return {"root": root, "train": train, "test": test, "spec": spec, "cfg": cfg}
+    cfg = replace(apply_profile(RunConfig(), "desk"), data_dir=str(root))
+    train, test = generate_synthetic(cfg)
+    return {"root": root, "train": train, "test": test, "cfg": cfg}
 
 
 def mini_run_config(data_dir, out_dir, **overrides) -> RunConfig:
     """A fast-but-real training config matched to the mini corpus."""
-    from dataclasses import replace
-
     base = RunConfig(
         d=16,
         n_layers=1,

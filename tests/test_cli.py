@@ -459,6 +459,14 @@ def test_exit_code_2_on_config_error(mini_corpus, tmp_path, capsys):
     cfg = mini_run_config(mini_corpus["root"], tmp_path / "out")
     assert main(["train", "--config", write_config(bad, cfg), "--seed", "-1"]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0"] * 2
+    # The generator's ranges are RunConfig's to check.
+    for overrides in ({"test_fraction": 1.0}, {"n_samples": 0}):
+        cfg_path = write_config(bad, replace(gen_cfg, **overrides))
+        assert main(["gen-data", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: test_fraction must be in (0, 1), got 1.0",
+        "error: n_samples must be >= 1",
+    ]
     assert not (tmp_path / "d").exists() and not (tmp_path / "out").exists()
 
 
@@ -481,9 +489,23 @@ def test_exit_code_3_on_data_error(mini_corpus, tmp_path):
 
 
 def test_exit_code_3_on_unsatisfiable_generator(tmp_path):
-    cfg = replace(RunConfig(), grid_size=4, data_dir=str(tmp_path / "d"))
-    cfg_path = write_config(tmp_path / "g.cfg", cfg)
-    assert main(["gen-data", "--config", cfg_path]) == 3
+    # more cells than count words; too few templates; a grid that does not divide the image
+    for overrides in ({"grid_size": 4}, {"templates_per_type": 1}, {"grid_size": 3}):
+        cfg = replace(RunConfig(), data_dir=str(tmp_path / "d"), **overrides)
+        cfg_path = write_config(tmp_path / "g.cfg", cfg)
+        assert main(["gen-data", "--config", cfg_path]) == 3
+    assert not (tmp_path / "d").exists()
+
+
+def test_gen_data_desk_profile_writes_the_desk_corpus(desk_corpus, tmp_path):
+    out = tmp_path / "desk"
+    assert main(["gen-data", "--profile", "desk", "--data", str(out)]) == 0
+    names = ["labels.tsv", "train.jsonl", "test.jsonl"] + sorted(
+        f"images/{p.name}" for p in (desk_corpus["root"] / "images").iterdir()
+    )
+    for name in names:
+        assert (out / name).read_bytes() == (desk_corpus["root"] / name).read_bytes(), name
+    assert len(list((out / "images").iterdir())) == len(names) - 3
 
 
 def test_exit_code_4_on_checkpoint_error(tmp_path, mini_corpus):
@@ -500,19 +522,33 @@ def test_exit_code_4_on_checkpoint_error(tmp_path, mini_corpus):
     "corrupt, message",
     [
         pytest.param(
-            lambda vocab, labels: (vocab, ["red 0"] + labels[1:]),
+            lambda config, vocab, labels: (config, vocab, ["red 0"] + labels[1:]),
             "label map block:1: expected 'name<TAB>id'",
             id="label-no-tab",
         ),
         pytest.param(
-            lambda vocab, labels: (vocab[2:], labels),
+            lambda config, vocab, labels: (config, vocab[2:], labels),
             "vocabulary lines must start with the PAD and UNK rows",
             id="vocab-no-pad-unk",
         ),
         pytest.param(
-            lambda vocab, labels: (vocab, []),
+            lambda config, vocab, labels: (config, vocab, []),
             "num_classes must be >= 2, got 0",
             id="label-block-empty",
+        ),
+        pytest.param(
+            lambda config, vocab, labels: (
+                config.replace("\nd = 16\n", "\nd = 16x\n"), vocab, labels
+            ),
+            "bad value for 'd': '16x' (invalid literal for int() with base 10: '16x')",
+            id="config-bad-value",
+        ),
+        pytest.param(
+            lambda config, vocab, labels: (
+                config.replace("\nn_heads = 2\n", "\nn_heads = 3\n"), vocab, labels
+            ),
+            "d=16 not divisible by n_heads=3",
+            id="config-invalid",
         ),
     ],
 )
@@ -524,8 +560,10 @@ def test_exit_code_4_on_corrupt_vocabulary_or_label_block(
     )
     cfg = parse_config(config_text)
     model = restore_model(cfg.to_model_config(len(vocab_lines), len(label_lines)), tensors)
+    blocks = corrupt(config_text, vocab_lines, label_lines)
+    assert blocks != (config_text, vocab_lines, label_lines)
     bad = tmp_path / "bad.ckpt"
-    save_checkpoint(bad, model, config_text, *corrupt(vocab_lines, label_lines))
+    save_checkpoint(bad, model, *blocks)
     capsys.readouterr()
     rc = main([
         "eval", "--checkpoint", str(bad),
@@ -534,6 +572,35 @@ def test_exit_code_4_on_corrupt_vocabulary_or_label_block(
     assert rc == 4
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: corrupt checkpoint {bad}: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        pytest.param(
+            lambda blob: blob[:8] + (2**62).to_bytes(8, "little") + blob[16:],
+            "truncated checkpoint while reading config block",
+            id="config-length-past-end",
+        ),
+        pytest.param(
+            lambda blob: blob[:16] + b"\xff" + blob[17:],
+            "corrupt checkpoint: config block is not utf-8 text",
+            id="config-not-utf8",
+        ),
+    ],
+)
+def test_exit_code_4_on_unreadable_config_block(trained_mini, tmp_path, capsys, patch, message):
+    # The config block's 8-byte length follows the magic and the version.
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(patch((trained_mini["out"] / CHECKPOINT_NAME).read_bytes()))
+    capsys.readouterr()
+    rc = main([
+        "eval", "--checkpoint", str(bad),
+        "--data", str(trained_mini["data"]), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 4
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "o").exists()
 
 

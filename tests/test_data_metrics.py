@@ -2,7 +2,9 @@
 
 import filecmp
 import json
+import shutil
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,6 @@ import pytest
 from vqagpt.data import (
     COLORS,
     SHAPES,
-    GeneratorSpec,
     answer_for,
     generate_synthetic,
     label_lines,
@@ -21,13 +22,18 @@ from vqagpt.data import (
     parse_label_lines,
     render_scene,
 )
-from vqagpt.errors import DataError
+from vqagpt.config import RunConfig
+from vqagpt.errors import ConfigError, DataError
 from vqagpt.metrics import compute_metrics, report_lines
 from vqagpt.ppm import read_ppm, write_ppm
 
 from oracles import brute_force_metrics, reparse_answer
 
-SPEC = GeneratorSpec(grid=2, image_size=16, templates_per_type=3, test_fraction=0.25)
+
+def corpus_config(data_dir, **overrides) -> RunConfig:
+    """The mini corpus's generator keys (16px, a quarter held out), written to ``data_dir``."""
+    keys = {"image_size": 16, "test_fraction": 0.25, "data_dir": str(data_dir), **overrides}
+    return replace(RunConfig(), **keys)
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +42,8 @@ SPEC = GeneratorSpec(grid=2, image_size=16, templates_per_type=3, test_fraction=
 
 def test_generator_is_deterministic_across_directories(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    generate_synthetic(seed=21, n_samples=40, spec=SPEC, out_dir=a_dir)
-    generate_synthetic(seed=21, n_samples=40, spec=SPEC, out_dir=b_dir)
+    generate_synthetic(corpus_config(a_dir, seed=21, n_samples=40))
+    generate_synthetic(corpus_config(b_dir, seed=21, n_samples=40))
     names = ["train.jsonl", "test.jsonl", "labels.tsv"] + [
         f"images/{i:05d}.ppm" for i in range(40)
     ]
@@ -48,8 +54,8 @@ def test_generator_is_deterministic_across_directories(tmp_path):
 
 def test_generator_seed_changes_output(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    generate_synthetic(seed=1, n_samples=24, spec=SPEC, out_dir=a_dir)
-    generate_synthetic(seed=2, n_samples=24, spec=SPEC, out_dir=b_dir)
+    generate_synthetic(corpus_config(a_dir, seed=1, n_samples=24))
+    generate_synthetic(corpus_config(b_dir, seed=2, n_samples=24))
     assert (a_dir / "train.jsonl").read_bytes() != (b_dir / "train.jsonl").read_bytes()
 
 
@@ -99,24 +105,34 @@ def test_rendered_scene_matches_answer_semantics():
     assert answer_for(scene, "shape", 3) == "square"
     assert answer_for(scene, "count", "square") == "two"
     assert answer_for(scene, "count", "circle") == "one"
-    img = render_scene(scene, SPEC)
+    img = render_scene(scene, 2, 16)
     assert img.shape == (16, 16, 3)
     # red cell occupies the top-left octant: its red channel dominates there
     tl = img[:8, :8]
     assert tl[..., 0].max() > 0.8 and tl[..., 1].max() < 0.3
 
 
-def test_unsatisfiable_specs_error():
-    with pytest.raises(DataError, match="count"):
-        GeneratorSpec(grid=4, image_size=32).validate()  # 16 cells, 10 count words
-    with pytest.raises(DataError, match="divisible"):
-        GeneratorSpec(grid=2, image_size=9).validate()
-    with pytest.raises(DataError, match="templates_per_type"):
-        GeneratorSpec(templates_per_type=1).validate()
-    with pytest.raises(DataError, match="test_fraction"):
-        GeneratorSpec(test_fraction=1.0).validate()
-    with pytest.raises(DataError, match="n_samples"):
-        generate_synthetic(seed=0, n_samples=0, spec=SPEC, out_dir="unused")
+def test_unsatisfiable_specs_error(tmp_path):
+    out = tmp_path / "unused"
+    for overrides, match in (
+        ({"grid_size": 4, "image_size": 32}, "count"),  # 16 cells, 10 count words
+        ({"image_size": 9}, "divisible"),
+        ({"templates_per_type": 1}, "templates_per_type"),
+    ):
+        with pytest.raises(DataError, match=match):
+            generate_synthetic(corpus_config(out, **overrides))
+    # RunConfig.validate owns these ranges; the generator itself still
+    # refuses a split with no training sample.
+    for overrides, match in (
+        ({"test_fraction": 1.0}, "test_fraction"),
+        ({"n_samples": 0}, "n_samples"),
+    ):
+        cfg = corpus_config(out, **overrides)
+        with pytest.raises(ConfigError, match=match):
+            cfg.validate()
+        with pytest.raises(DataError, match="n_samples .* leaves no training samples"):
+            generate_synthetic(cfg)
+    assert not out.exists()
 
 
 def test_template_ids_cover_configured_range(mini_corpus):
@@ -151,7 +167,8 @@ def test_empty_manifest_loads_as_empty_dataset(tmp_path, mini_corpus):
     train = mini_corpus["train"]
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    ds = load_dataset(empty, Path(train.root) / "labels.tsv")
+    shutil.copy(Path(train.root) / "labels.tsv", tmp_path / "labels.tsv")
+    ds = load_dataset(empty)
     assert ds.samples == []
 
 

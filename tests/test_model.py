@@ -504,6 +504,58 @@ def test_checkpoint_truncation_and_trailing_bytes(tmp_path):
         load_checkpoint(fat)
 
 
+def text_block_offsets(blob, first_tensor):
+    """{block name: payload offset} of each text block, up to the first tensor's dtype."""
+    names = ["config block", "vocabulary block", "label map block"]
+    offsets, pos = {}, 8  # past magic and version
+    for what in names + ["tensor name", f"dtype of {first_tensor}"]:
+        if what == "tensor name":
+            pos += 4  # the tensor count
+        offsets[what] = pos + 8
+        pos += 8 + int.from_bytes(blob[pos : pos + 8], "little")
+    return offsets
+
+
+def test_checkpoint_length_prefix_past_the_end_is_a_truncation(tmp_path):
+    m = init_params(small_config(), seed=0)
+    p = tmp_path / "t.ckpt"
+    save_checkpoint(p, m, CONFIG_TEXT, VOCAB, LABELS)
+    blob = p.read_bytes()
+    bad = tmp_path / "long.ckpt"
+    for what, at in text_block_offsets(blob, next(iter(m.params))).items():
+        # a length no file could back: read unchecked, it would size a buffer
+        bad.write_bytes(blob[: at - 8] + (2**62).to_bytes(8, "little") + blob[at:])
+        with pytest.raises(CheckpointError, match=f"^truncated checkpoint while reading {what}$"):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_text_block_that_does_not_decode_is_corrupt(tmp_path):
+    m = init_params(small_config(), seed=0)
+    p = tmp_path / "t.ckpt"
+    save_checkpoint(p, m, CONFIG_TEXT, VOCAB, LABELS)
+    blob = p.read_bytes()
+    bad = tmp_path / "bytes.ckpt"
+    for what, at in text_block_offsets(blob, next(iter(m.params))).items():
+        bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])
+        encoding = "ascii" if what.startswith("dtype") else "utf-8"
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(bad)
+        assert str(info.value) == f"corrupt checkpoint: {what} is not {encoding} text"
+
+
+def test_checkpoint_tensor_of_a_non_float_dtype_is_corrupt(tmp_path):
+    m = init_params(small_config(), seed=0)
+    p = tmp_path / "t.ckpt"
+    save_checkpoint(p, m, CONFIG_TEXT, VOCAB, LABELS)
+    blob = p.read_bytes()
+    at = blob.index(b"<f4")  # the first tensor's dtype string
+    bad = tmp_path / "dtype.ckpt"
+    for dtype in (b"<U1", b"<i4"):
+        bad.write_bytes(blob[:at] + dtype + blob[at + 3 :])
+        with pytest.raises(CheckpointError, match="is not a float dtype"):
+            load_checkpoint(bad)
+
+
 def test_checkpoint_missing_file_errors(tmp_path):
     with pytest.raises(CheckpointError, match="cannot open"):
         load_checkpoint(tmp_path / "absent.ckpt")
