@@ -85,17 +85,23 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; the first contribution is copied in.
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.
 
-    A copy, not the array itself: ``g`` may be a view of another node's
-    gradient, and ``add`` hands the same ``g`` to both of its parents.
+    Ownership rule: a first contribution is copied in unless ``fresh``
+    says the op has just allocated ``g`` (of ``t``'s shape and dtype) and
+    nobody else holds it; then ``t.grad`` adopts it.  Anything else is
+    copied: ``g`` may be a view of another node's gradient (``reshape``,
+    ``transpose``, ``concat``), ``add`` hands the same ``g`` to both of its
+    parents, and ``backward`` seeds the root with the caller's array.
     """
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif fresh:
+        t.grad = g
+    else:
         t.grad = np.empty_like(t.data)
         t.grad[...] = g
-    else:
-        t.grad += g
 
 
 def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
@@ -200,7 +206,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g):
         g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            _accum(x, np.matmul(g2, w.data.T).reshape(x.data.shape))
+            _accum(x, np.matmul(g2, w.data.T).reshape(x.data.shape), fresh=True)
         if w.requires_grad:
             _accum(w, np.matmul(x.data.reshape(-1, x.data.shape[-1]).T, g2))
         if b.requires_grad:
@@ -316,7 +322,7 @@ def gelu(a: Tensor) -> Tensor:
         d *= t
         d *= 0.5
         d *= g
-        _accum(a, d)
+        _accum(a, d, fresh=True)
 
     return _make(out, (a,), backward_fn)
 
@@ -388,7 +394,7 @@ def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
         ds *= scale
         np.matmul(ds, k, out=dq)
         np.matmul(ds.swapaxes(-1, -2), q, out=dk)
-        _accum(qkv, dqkv)
+        _accum(qkv, dqkv, fresh=True)
 
     return _make(out, (qkv,), backward_fn)
 
@@ -422,7 +428,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dxhat -= mean_d[:, None]
             dxhat -= proj
             dxhat *= inv
-            _accum(a, dxhat.reshape(a.data.shape))
+            _accum(a, dxhat.reshape(a.data.shape), fresh=True)
 
     return _make(out.reshape(a.data.shape), (a, gain, bias), backward_fn)
 
@@ -471,7 +477,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     def backward_fn(g):
         p = e / z
         p[np.arange(b), labels] -= 1.0
-        _accum(logits, p * (np.asarray(g) / b))
+        _accum(logits, p * (np.asarray(g) / b), fresh=True)
 
     return _make(out, (logits,), backward_fn)
 
@@ -532,7 +538,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             wflip = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
             dx = np.matmul(kernels.im2col(gd, kh, kw, 1, 0), wflip)
             dx = dx.reshape(bsz, h, wi, c_in)
-        _accum(x, dx.transpose(0, 3, 1, 2))
+        _accum(x, dx.transpose(0, 3, 1, 2), fresh=True)
 
     return _make(out, (x, w, b), backward_fn)
 

@@ -9,12 +9,21 @@ also exit 2).
 Determinism note: runs are reproducible bit-for-bit only in single-threaded
 BLAS mode; pin OMP_NUM_THREADS=1 (or the OpenBLAS equivalent) when that
 matters.
+
+Allocator policy: on glibc, ``main`` sets two fixed ``mallopt`` thresholds
+(no key, flag or variable); elsewhere it leaves the allocator alone.  By
+default glibc hands a train step's freed arrays back to the OS, and the
+next step page-faults them in again.  The mmap threshold (32 MiB) keeps
+the arrays on the heap and the trim threshold (512 MiB) keeps the heap
+from shrinking.  Both are set: any ``mallopt`` call freezes glibc's
+self-tuning thresholds where they stand, and either alone still faults.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -408,7 +417,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def keep_heap_resident() -> bool:
+    """Set the allocator policy of the module docstring; False where there is no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 in glibc's malloc.h.
+    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20))
+
+
 def main(argv=None) -> int:
+    keep_heap_resident()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

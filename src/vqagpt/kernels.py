@@ -80,15 +80,19 @@ def adam_update(
     """One fused Adam step, in place.  bc1/bc2 are 1 - beta**t, precomputed.
 
     Every coefficient is rounded to the parameter dtype first, so the whole
-    update runs in same-width arithmetic.
+    update runs in same-width arithmetic.  Two scratch arrays hold every
+    intermediate, in the operation order of the plain expressions.
     """
     dt = param.dtype.type
     lr, b1, b2, eps, c1, c2 = dt(lr), dt(beta1), dt(beta2), dt(eps), dt(bc1), dt(bc2)
     omb1, omb2 = dt(1.0 - beta1), dt(1.0 - beta2)
+    s, u = np.empty_like(param), np.empty_like(param)
     m *= b1
-    m += omb1 * grad
+    m += np.multiply(omb1, grad, out=s)
     v *= b2
-    v += omb2 * (grad * grad)
-    mhat = m / c1
-    vhat = v / c2
-    param -= lr * (mhat / (np.sqrt(vhat) + eps))
+    v += np.multiply(omb2, np.multiply(grad, grad, out=s), out=s)
+    np.divide(m, c1, out=s)  # mhat
+    np.sqrt(np.divide(v, c2, out=u), out=u)  # sqrt(vhat)
+    u += eps
+    s /= u
+    param -= np.multiply(lr, s, out=s)

@@ -227,6 +227,20 @@ def adam_first_step_delta(g: np.ndarray, lr: float, eps: float) -> np.ndarray:
     return -lr * g / (np.sqrt(g * g) + eps)
 
 
+def adam_update_reference(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2) -> None:
+    """The fused Adam step as plain numpy expressions, one temporary each, in place."""
+    dt = param.dtype.type
+    lr, b1, b2, eps, c1, c2 = dt(lr), dt(beta1), dt(beta2), dt(eps), dt(bc1), dt(bc2)
+    omb1, omb2 = dt(1.0 - beta1), dt(1.0 - beta2)
+    m *= b1
+    m += omb1 * grad
+    v *= b2
+    v += omb2 * (grad * grad)
+    mhat = m / c1
+    vhat = v / c2
+    param -= lr * (mhat / (np.sqrt(vhat) + eps))
+
+
 def gelu_reference(x: np.ndarray) -> np.ndarray:
     """GELU as GPT-2 defines it, the tanh form, one element at a time."""
     c = math.sqrt(2.0 / math.pi)

@@ -661,3 +661,43 @@ def test_importing_the_cli_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+
+# One batch-64 desk epoch in a fresh process, whose heap has only its own
+# history; prints the page faults of each train step.
+COUNT_STEP_FAULTS = """
+import json, resource, sys
+import vqagpt.cli as cli
+
+faults, step = [], cli.train_step
+
+def counting(*args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    loss = step(*args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return loss
+
+cli.train_step = counting
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, faults]))
+"""
+
+
+def test_steady_desk_b64_train_steps_fault_no_pages(desk_corpus, tmp_path):
+    # Under glibc's defaults each of these steps page-faults thousands of
+    # pages back in: the arrays the previous step freed went back to the OS.
+    if not cli.keep_heap_resident():
+        pytest.skip("no glibc mallopt here, so the allocator policy does not apply")
+    (tmp_path / "b64.cfg").write_text("batch_size = 64\nepochs = 1\n")
+    argv = ["train", "--profile", "desk", "--config", str(tmp_path / "b64.cfg"),
+            "--data", str(desk_corpus["root"]), "--out", str(tmp_path / "run")]
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", COUNT_STEP_FAULTS, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, faults = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and len(faults) == 25
+    assert sum(faults[-10:]) < 10 * 10, faults

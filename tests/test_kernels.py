@@ -1,8 +1,9 @@
 """Kernel tests: the numpy kernels against reference oracles.
 
-Equality assertions against the oracles are exact, not approximate; the
-col2im check is the adjoint identity, which holds to rounding, on every
-disjoint-window shape; col2im rejects overlapping windows.
+Equality assertions against the oracles are exact, not approximate (the
+fused Adam step too, bit for bit in f32 and f64); the col2im check is the
+adjoint identity, which holds to rounding, on every disjoint-window
+shape; col2im rejects overlapping windows.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from vqagpt import kernels
 
-from oracles import im2col_reference
+from oracles import adam_update_reference, im2col_reference
 
 SHAPES = [
     # (b, c, h, w, kh, kw, stride, pad)
@@ -62,3 +63,19 @@ def test_scatter_add_rows_accumulates_duplicates():
     got = np.zeros((6, 4))
     kernels.scatter_add_rows(got, ids, rows)
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_update_is_bitwise_the_plain_expression(dtype):
+    rng = np.random.default_rng(4)
+    p, m, v = rng.standard_normal(257).astype(dtype), np.zeros(257, dtype), np.zeros(257, dtype)
+    rp, rm, rv = p.copy(), m.copy(), v.copy()
+    beta1, beta2 = 0.9, 0.95
+    for step in range(1, 6):
+        grad = (rng.standard_normal(257) * 10.0**-step).astype(dtype)
+        grad[::7] = 0
+        hyper = (4e-4, beta1, beta2, 1e-8, 1.0 - beta1**step, 1.0 - beta2**step)
+        kernels.adam_update(p, grad, m, v, *hyper)
+        adam_update_reference(rp, grad, rm, rv, *hyper)
+        for a, b in ((p, rp), (m, rm), (v, rv)):
+            assert a.dtype == dtype and a.tobytes() == b.tobytes(), step

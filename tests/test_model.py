@@ -1,5 +1,7 @@
 """Decoder stack, classification head, train step, and checkpoint format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import vqagpt.autodiff as ad
 import vqagpt.model as model_module
 from vqagpt import kernels
 from vqagpt.autodiff import AdamState, Tensor
-from vqagpt.config import ModelConfig
+from vqagpt.config import ModelConfig, RunConfig, apply_profile
 from vqagpt.embedding import VISION_TYPE, WORD_TYPE, TokenSequence
 from vqagpt.errors import CheckpointError, ConfigError, NonFiniteError
 from vqagpt.model import (
@@ -349,6 +351,50 @@ def test_train_step_non_finite_loss_or_gradient_stops_before_adam(monkeypatch):
         train_step(batch, m, opt)
     assert m.flat.tobytes() == before.tobytes()
     assert opt.step == 0 and opt.m is None
+
+
+def _two_linears_and_a_doubled_add():
+    # x feeds both linears and both inputs of one add, so it collects an
+    # adopted linear gradient, a second one and two copies of add's grad.
+    rng = np.random.default_rng(40)
+    x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    w1, w2 = (Tensor(rng.standard_normal((5, 5)), requires_grad=True) for _ in range(2))
+    b1, b2 = (Tensor(np.zeros(5), requires_grad=True) for _ in range(2))
+    mixed = ad.add(ad.add(x, x), ad.add(ad.linear(x, w1, b1), ad.linear(x, w2, b2)))
+    return ad.cross_entropy(mixed, np.array([0, 3, 1, 4]))
+
+
+def _desk_loss(**overrides):
+    keys = replace(apply_profile(RunConfig(), "desk"), **overrides)
+    m = init_params(keys.to_model_config(vocab_size=30, num_classes=11), seed=41)
+    rng = np.random.default_rng(42)
+    imgs = rng.random((8, keys.image_size, keys.image_size, 3))
+    qids = rng.integers(1, 30, (8, keys.max_question_len))
+    logits = feature_logits(image_features(imgs, keys, m.flat.dtype), qids, m)
+    return ad.cross_entropy(logits, rng.integers(0, 11, 8))
+
+
+@pytest.mark.parametrize("build", [
+    _two_linears_and_a_doubled_add,
+    _desk_loss,
+    lambda: _desk_loss(vision_backend="vit_lite", order="early_vision"),
+], ids=["doubled_add", "desk", "desk_vit_early_vision"])
+def test_adopted_gradients_are_unshared_and_bitwise_the_copied_ones(build, monkeypatch):
+    runs = []
+    for copy_all in (False, True):
+        with monkeypatch.context() as mp:
+            if copy_all:
+                accum = ad._accum
+                mp.setattr(ad, "_accum", lambda t, g, fresh=False: accum(t, g))
+            loss = build()
+            ad.backward(loss)
+        runs.append([n.grad for n in ad._topo_order(loss)])
+    adopted, copied = runs
+    assert all(g is not None for g in adopted) and len(adopted) == len(copied)
+    for a, c in zip(adopted, copied):
+        assert a.dtype == c.dtype and a.shape == c.shape and a.tobytes() == c.tobytes()
+    for i, a in enumerate(adopted):
+        assert not any(np.shares_memory(a, b) for b in adopted[i + 1:])
 
 
 def test_train_step_makes_one_adam_kernel_call(monkeypatch):
