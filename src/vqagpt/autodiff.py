@@ -24,6 +24,7 @@ Design constraints, in rough order of importance:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,21 +34,26 @@ from . import kernels
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
-_GRAD_ENABLED = True
+
+class _Recording(threading.local):
+    """Graph recording is on in every thread until ``no_grad`` turns it off there."""
+
+    on = True
+
+
+_RECORDING = _Recording()
 
 
 class no_grad:
-    """Context manager that disables graph recording (for eval loops)."""
+    """Context manager that disables graph recording in the calling thread (for eval loops)."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _RECORDING.on
+        _RECORDING.on = False
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _RECORDING.on = self._prev
         return False
 
 
@@ -106,7 +112,7 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
 def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED:
+    if _RECORDING.on:
         grad_parents = tuple(p for p in parents if p.requires_grad)
         if grad_parents:
             out.requires_grad = True

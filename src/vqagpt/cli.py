@@ -8,15 +8,19 @@ also exit 2).
 
 Determinism note: runs are reproducible bit-for-bit only in single-threaded
 BLAS mode; pin OMP_NUM_THREADS=1 (or the OpenBLAS equivalent) when that
-matters.
+matters.  Evaluation forwards its ``EVAL_CHUNK``-sample chunks on up to
+two threads (one per core); a sample's logits do not depend on its chunk,
+so no output depends on the thread count.
 
-Allocator policy: on glibc, ``main`` sets two fixed ``mallopt`` thresholds
+Allocator policy: on glibc, ``main`` sets three fixed ``mallopt`` values
 (no key, flag or variable); elsewhere it leaves the allocator alone.  By
 default glibc hands a train step's freed arrays back to the OS, and the
 next step page-faults them in again.  The mmap threshold (32 MiB) keeps
 the arrays on the heap and the trim threshold (512 MiB) keeps the heap
 from shrinking.  Both are set: any ``mallopt`` call freezes glibc's
 self-tuning thresholds where they stand, and either alone still faults.
+One arena (``M_ARENA_MAX``) makes the evaluation threads reuse that
+resident heap instead of growing arenas of their own.
 """
 
 from __future__ import annotations
@@ -24,7 +28,10 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import functools
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -128,20 +135,31 @@ def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
     return feats, qids, labels, types
 
 
+@functools.cache
+def _eval_pool() -> ThreadPoolExecutor:
+    """The evaluation threads, made on first use: one per usable core, at most two."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return ThreadPoolExecutor(min(2, cores or 1))
+
+
+def _chunk_logits(model, feats, qids, lo: int) -> np.ndarray:
+    """Logits of the ``EVAL_CHUNK`` samples from ``lo``; this thread records no graph."""
+    with ad.no_grad():
+        return feature_logits(feats[lo : lo + EVAL_CHUNK], qids[lo : lo + EVAL_CHUNK], model).data
+
+
 def _evaluate_arrays(model, cfg: RunConfig, feats, qids, labels, types):
     """Mean loss + MetricsReport over the arrays, no grad recorded.
 
     The forward passes run in ``EVAL_CHUNK``-sample chunks, not at
-    ``cfg.batch_size``.  The loss is taken once over all logits, so as
-    long as a sample's logits do not depend on the other samples in its
-    chunk, the result does not depend on the chunk size.
+    ``cfg.batch_size``, spread over ``_eval_pool`` and joined in chunk
+    order.  The loss is taken once over all logits, so as long as a
+    sample's logits do not depend on the other samples in its chunk, the
+    result depends neither on the chunk size nor on the thread count.
     """
-    with ad.no_grad():
-        logits = np.concatenate([
-            feature_logits(feats[lo : lo + EVAL_CHUNK], qids[lo : lo + EVAL_CHUNK], model).data
-            for lo in range(0, len(labels), EVAL_CHUNK)
-        ])
-        loss = ad.cross_entropy(ad.Tensor(logits), labels)
+    chunk_logits = functools.partial(_chunk_logits, model, feats, qids)
+    logits = np.concatenate(list(_eval_pool().map(chunk_logits, range(0, len(labels), EVAL_CHUNK))))
+    loss = ad.cross_entropy(ad.Tensor(logits), labels)
     preds = np.argmax(logits, axis=-1)
     report = compute_metrics(preds, labels, types, n_classes=model.config.num_classes)
     return float(loss.data), report
@@ -173,10 +191,12 @@ def _load_split(cfg: RunConfig):
     return train_ds, test_ds
 
 
-def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
+def _train_on(cfg: RunConfig, train_ds, test_ds, log=None, every_epoch: bool = True):
     """Core training loop; returns (model, vocab, ``METRICS_HEADER`` rows, final test report).
 
     The test report is the last snapshot's, taken of the returned model.
+    With ``every_epoch`` False no snapshot is taken and no row made: the
+    test split alone is evaluated, once, after the last epoch.
     """
     dtype = _dtype_for(cfg)
     train_samples = list(train_ds.samples)
@@ -209,8 +229,6 @@ def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
             )
         return va_rep
 
-    if cfg.epochs == 0:
-        test_report = snapshot(0, None)
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(len(train_samples))
         total = 0.0
@@ -221,7 +239,12 @@ def _train_on(cfg: RunConfig, train_ds, test_ds, log=None):
             except NonFiniteError as exc:
                 raise NonFiniteError(f"epoch {epoch} step {step}: {exc}") from exc
             total += loss * len(idx)
-        test_report = snapshot(epoch, total / len(perm))
+        if every_epoch:
+            test_report = snapshot(epoch, total / len(perm))
+    if not every_epoch:
+        test_report = _evaluate_arrays(model, cfg, t_feats, t_qids, t_labels, t_types)[1]
+    elif cfg.epochs == 0:
+        test_report = snapshot(0, None)
     return model, vocab, rows, test_report
 
 
@@ -340,7 +363,7 @@ def cmd_ablate(args) -> int:
                 label = f"{order}/{pose}/{backend}"
                 print(f"[ablate] training cell {label}")
                 try:
-                    _, _, _, report = _train_on(cell_cfg, train_ds, test_ds)
+                    _, _, _, report = _train_on(cell_cfg, train_ds, test_ds, every_epoch=False)
                 except Exception as exc:  # keep remaining cells running
                     rows.append([*cell, cfg.use_type_embedding, "overall", "", "", "", "",
                                  f"error: {exc}"])
@@ -424,8 +447,8 @@ def keep_heap_resident() -> bool:
     except (AttributeError, OSError, TypeError):
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 in glibc's malloc.h.
-    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20))
+    # M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD -1 and M_ARENA_MAX -8 in glibc's malloc.h.
+    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20) and mallopt(-8, 1))
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from vqagpt.config import (
     serialize_config,
 )
 from vqagpt.data import load_images
-from vqagpt.errors import ConfigError
+from vqagpt.errors import ConfigError, DataError
 from vqagpt.model import (
     feature_logits,
     forward_logits,
@@ -337,6 +338,95 @@ def test_evaluation_in_64_sample_chunks_matches_batch_4(trained_mini, mini_corpu
             assert np.array_equal(rep_b.confusion, rep_c.confusion)
 
 
+def test_evaluation_is_bitwise_the_same_on_any_number_of_threads(
+    trained_mini, mini_corpus, monkeypatch
+):
+    # The 198 train samples end in a partial chunk (3 x 64 + 6).  Both a
+    # cnn_lite / early_word and a vit_lite / early_vision model must give the
+    # same loss, reports and logits bytes whichever pool runs the chunks.
+    # Four workers with a short switch interval stress the threads' sharing
+    # of the model and the arrays.
+    config_text, vocab_lines, label_lines, tensors = load_checkpoint(
+        trained_mini["out"] / CHECKPOINT_NAME
+    )
+    cfg = parse_config(config_text)
+    trained = restore_model(cfg.to_model_config(len(vocab_lines), len(label_lines)), tensors)
+    vit_cfg = replace(cfg, vision_backend="vit_lite", order="early_vision")
+    vit = init_params(vit_cfg.to_model_config(len(vocab_lines), len(label_lines)), 3)
+    ds = mini_corpus["train"]
+    assert len(ds.samples) % cli.EVAL_CHUNK != 0
+    vocab = Vocabulary.from_lines(vocab_lines)
+    logits_seen = []
+    real_ce = ad.cross_entropy
+
+    def keep_logits(logits, labels):
+        logits_seen.append(logits.data)
+        return real_ce(logits, labels)
+
+    monkeypatch.setattr(ad, "cross_entropy", keep_logits)
+    for model, run_cfg in ((trained, cfg), (vit, vit_cfg)):
+        arrays = cli._prepare_arrays(run_cfg, vocab, ds, ds.samples)
+        results = []
+        for workers, switch in ((1, None), (2, None), (4, 1e-5)):
+            interval = sys.getswitchinterval()
+            try:
+                if switch:
+                    sys.setswitchinterval(switch)
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(cli, "_eval_pool", lambda: pool)
+                    results.append(cli._evaluate_arrays(model, run_cfg, *arrays))
+            finally:
+                sys.setswitchinterval(interval)
+        loss_1, rep_1 = results[0]
+        logits_1 = logits_seen[-3]
+        assert logits_1.shape == (len(ds.samples), len(label_lines))
+        for (loss_n, rep_n), logits_n in zip(results[1:], logits_seen[-2:]):
+            assert loss_n == loss_1
+            assert (rep_n.n, rep_n.acc, rep_n.macro_recall, rep_n.macro_fscore, rep_n.per_type) == (
+                rep_1.n, rep_1.acc, rep_1.macro_recall, rep_1.macro_fscore, rep_1.per_type
+            )
+            assert np.array_equal(rep_n.confusion, rep_1.confusion)
+            assert logits_n.tobytes() == logits_1.tobytes()
+
+
+def test_a_misshapen_chunk_raises_the_serial_data_error_on_any_pool(
+    trained_mini, mini_corpus, monkeypatch, tmp_path
+):
+    # The partial last chunk gets features one column short; the worker's
+    # DataError reaches the caller as the serial path would raise it, and
+    # `eval` exits 3 through main.
+    real = cli.feature_logits
+
+    def short_partial_chunk(feats, qids, model):
+        if len(feats) < cli.EVAL_CHUNK:
+            feats = feats[..., :-1]
+        return real(feats, qids, model)
+
+    monkeypatch.setattr(cli, "feature_logits", short_partial_chunk)
+    config_text, vocab_lines, label_lines, tensors = load_checkpoint(
+        trained_mini["out"] / CHECKPOINT_NAME
+    )
+    cfg = parse_config(config_text)
+    model = restore_model(cfg.to_model_config(len(vocab_lines), len(label_lines)), tensors)
+    ds = mini_corpus["train"]
+    arrays = cli._prepare_arrays(cfg, Vocabulary.from_lines(vocab_lines), ds, ds.samples)
+    tail = len(ds.samples) - len(ds.samples) % cli.EVAL_CHUNK
+    with pytest.raises(DataError) as serial:
+        with ad.no_grad():
+            short_partial_chunk(arrays[0][tail:], arrays[1][tail:], model)
+    assert len(mini_corpus["test"].samples) % cli.EVAL_CHUNK != 0
+    for workers in (1, 2):
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(cli, "_eval_pool", lambda: pool)
+            with pytest.raises(DataError) as pooled:
+                cli._evaluate_arrays(model, cfg, *arrays)
+            assert str(pooled.value) == str(serial.value)
+            assert main([
+                "eval", "--checkpoint", str(trained_mini["out"] / CHECKPOINT_NAME),
+                "--data", str(trained_mini["data"]), "--out", str(tmp_path / f"o{workers}"),
+            ]) == 3
+
+
 def test_forward_logits_on_raw_images_match_the_feature_path(trained_mini, mini_corpus):
     # Evaluation forwards features made once per split; forward_logits
     # featurizes its raw images per call.  The two must agree bitwise, since
@@ -435,6 +525,31 @@ def test_rephrased_holdout_training_and_eval(mini_corpus, tmp_path, capsys):
     assert "rephrased degradation (default acc - rephrased acc):" in text
     blocks = {r["block"] for r in read_csv(out / EVAL_CSV)}
     assert blocks == {"default_templates", "rephrased"}
+
+
+# ---------------------------------------------------------------------------
+# ablate
+
+
+def test_ablate_evaluates_each_cell_once_on_the_test_split(trained_mini, mini_corpus, tmp_path,
+                                                          monkeypatch):
+    # Two epochs per cell; each cell's report is one test-split pass after
+    # its last epoch.  The cell trained_mini trained (early_word / actual /
+    # cnn_lite) scores the val_acc of that run's last metrics.csv row.
+    real, passes = cli._evaluate_arrays, []
+
+    def counting(model, cfg, feats, qids, labels, types):
+        passes.append(len(labels))
+        return real(model, cfg, feats, qids, labels, types)
+
+    monkeypatch.setattr(cli, "_evaluate_arrays", counting)
+    cfg = replace(trained_mini["cfg"], out_dir=str(tmp_path / "ablate"))
+    assert main(["ablate", "--config", write_config(tmp_path / "a.cfg", cfg)]) == 0
+    assert passes == [len(mini_corpus["test"].samples)] * 8
+    rows = read_csv(tmp_path / "ablate" / cli.ABLATION_CSV)
+    (cell,) = [r for r in rows if r["scope"] == "overall" and r["order"] == "early_word"
+               and r["pose_mode"] == "actual" and r["backend"] == "cnn_lite"]
+    assert cell["acc"] == read_csv(trained_mini["out"] / METRICS_CSV)[-1]["val_acc"]
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +781,17 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 # ---------------------------------------------------------------------------
 # allocator policy
 
-# One batch-64 desk epoch in a fresh process, whose heap has only its own
-# history; prints the page faults of each train step.
+# Batch-64 desk epochs in a fresh process, whose heap has only its own
+# history; prints the page faults of each train step and the number of
+# malloc arenas (glibc's malloc_info lists one <heap> each).  Evaluation
+# runs on a two-thread pool, whatever the machine's core count.
 COUNT_STEP_FAULTS = """
-import json, resource, sys
+import ctypes, json, resource, sys
+from concurrent.futures import ThreadPoolExecutor
 import vqagpt.cli as cli
 
 faults, step = [], cli.train_step
+pool = ThreadPoolExecutor(2)
 
 def counting(*args):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -681,23 +800,50 @@ def counting(*args):
     return loss
 
 cli.train_step = counting
+cli._eval_pool = lambda: pool
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, faults]))
+libc, buf, size = ctypes.CDLL(None), ctypes.c_char_p(), ctypes.c_size_t()
+libc.open_memstream.restype = ctypes.c_void_p
+libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+libc.fclose.argtypes = (ctypes.c_void_p,)
+stream = libc.open_memstream(ctypes.byref(buf), ctypes.byref(size))
+libc.malloc_info(0, stream)
+libc.fclose(stream)
+arenas = ctypes.string_at(buf, size.value).count(b"<heap nr=")
+print(json.dumps([code, faults, arenas]))
 """
 
 
-def test_steady_desk_b64_train_steps_fault_no_pages(desk_corpus, tmp_path):
-    # Under glibc's defaults each of these steps page-faults thousands of
-    # pages back in: the arrays the previous step freed went back to the OS.
+def desk_b64_step_faults(desk_corpus, tmp_path, epochs: int) -> list:
+    """Page faults of each step of an ``epochs``-epoch batch-64 desk ``train``.
+
+    Each epoch ends in evaluation passes on two threads, which must have
+    left the process one malloc arena.
+    """
     if not cli.keep_heap_resident():
         pytest.skip("no glibc mallopt here, so the allocator policy does not apply")
-    (tmp_path / "b64.cfg").write_text("batch_size = 64\nepochs = 1\n")
+    (tmp_path / "b64.cfg").write_text(f"batch_size = 64\nepochs = {epochs}\n")
     argv = ["train", "--profile", "desk", "--config", str(tmp_path / "b64.cfg"),
             "--data", str(desk_corpus["root"]), "--out", str(tmp_path / "run")]
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", COUNT_STEP_FAULTS, *argv], env=env,
                           capture_output=True, text=True, check=True)
-    code, faults = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0 and len(faults) == 25
+    code, faults, arenas = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and len(faults) == 25 * epochs
+    assert arenas == 1
+    return faults
+
+
+def test_steady_desk_b64_train_steps_fault_no_pages(desk_corpus, tmp_path):
+    # Under glibc's defaults each of these steps page-faults thousands of
+    # pages back in: the arrays the previous step freed went back to the OS.
+    faults = desk_b64_step_faults(desk_corpus, tmp_path, epochs=1)
+    assert sum(faults[-10:]) < 10 * 10, faults
+
+
+def test_desk_b64_train_steps_after_a_two_thread_eval_pass_fault_no_pages(desk_corpus, tmp_path):
+    # The second epoch's steps follow the first epoch's evaluation passes,
+    # whose worker threads allocate from the same resident arena.
+    faults = desk_b64_step_faults(desk_corpus, tmp_path, epochs=2)
     assert sum(faults[-10:]) < 10 * 10, faults
