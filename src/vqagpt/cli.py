@@ -9,8 +9,8 @@ also exit 2).
 Determinism note: runs are reproducible bit-for-bit only in single-threaded
 BLAS mode; pin OMP_NUM_THREADS=1 (or the OpenBLAS equivalent) when that
 matters.  Evaluation forwards its ``EVAL_CHUNK``-sample chunks on up to
-two threads (one per core); a sample's logits do not depend on its chunk,
-so no output depends on the thread count.
+two threads, each pinned to a core of its own; a sample's logits do not
+depend on its chunk, so no output depends on the thread count.
 
 Allocator policy: on glibc, ``main`` sets three fixed ``mallopt`` values
 (no key, flag or variable); elsewhere it leaves the allocator alone.  By
@@ -26,6 +26,7 @@ resident heap instead of growing arenas of their own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import functools
@@ -137,9 +138,21 @@ def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
 
 @functools.cache
 def _eval_pool() -> ThreadPoolExecutor:
-    """The evaluation threads, made on first use: one per usable core, at most two."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return ThreadPoolExecutor(min(2, cores or 1))
+    """The evaluation threads, made on first use: one per usable core, at most two.
+
+    Each is pinned to its core where the OS allows it: unpinned, two threads
+    taking turns on the GIL could be left on one core for passes on end.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return ThreadPoolExecutor(min(2, os.cpu_count() or 1))
+    cores = sorted(os.sched_getaffinity(0))[:2]
+    return ThreadPoolExecutor(len(cores), initializer=_pin_thread, initargs=(cores,))
+
+
+def _pin_thread(cores: list) -> None:
+    """Pin the calling thread to a core it takes from ``cores``; unpinned if that core is gone."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, {cores.pop()})
 
 
 def _chunk_logits(model, feats, qids, lo: int) -> np.ndarray:

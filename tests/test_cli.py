@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
@@ -425,6 +426,35 @@ def test_a_misshapen_chunk_raises_the_serial_data_error_on_any_pool(
                 "eval", "--checkpoint", str(trained_mini["out"] / CHECKPOINT_NAME),
                 "--data", str(trained_mini["data"]), "--out", str(tmp_path / f"o{workers}"),
             ]) == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity here")
+def test_each_evaluation_thread_is_pinned_to_a_core_of_its_own():
+    # Unpinned, the scheduler can wake both threads on the submitting core
+    # and keep them there for passes on end: they take turns on the GIL, so
+    # that core never looks overloaded.  The calling thread stays unpinned.
+    usable = os.sched_getaffinity(0)
+    n = min(2, len(usable))
+    all_in = threading.Barrier(n)
+
+    def affinity(_):
+        all_in.wait(timeout=30)  # holds each task until n threads run one
+        return frozenset(os.sched_getaffinity(0))
+
+    with cli._eval_pool.__wrapped__() as pool:
+        seen = set(pool.map(affinity, range(n)))
+    assert seen == {frozenset({core}) for core in sorted(usable)[:n]}
+    assert os.sched_getaffinity(0) == usable
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity here")
+def test_an_evaluation_thread_whose_core_is_gone_runs_unpinned():
+    # A core can leave the process's set between the pool's making and a
+    # thread's start; the thread must still run chunks, on any core.
+    usable = os.sched_getaffinity(0)
+    gone = max(usable) + 4096
+    with ThreadPoolExecutor(1, initializer=cli._pin_thread, initargs=([gone],)) as pool:
+        assert pool.submit(os.sched_getaffinity, 0).result() == usable
 
 
 def test_forward_logits_on_raw_images_match_the_feature_path(trained_mini, mini_corpus):
