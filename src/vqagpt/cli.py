@@ -1,5 +1,8 @@
 """Command-line harness: gen-data, train, eval, ablate.
 
+``train`` and ``ablate`` drive the same training loop, a ``Run``: ``train``
+evaluates both splits after every epoch, ``ablate`` the test split once.
+
 Configuration precedence, lowest to highest: schema defaults, --profile,
 --config file, explicit flags (--seed/--out/--data).  Exit codes are a
 stable contract: 0 success, 2 config error, 3 data error, 4 checkpoint
@@ -30,6 +33,7 @@ import contextlib
 import csv
 import ctypes
 import functools
+import itertools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -179,10 +183,7 @@ def _evaluate_arrays(model, cfg: RunConfig, feats, qids, labels, types):
 
 
 def _infer_template_count(*datasets) -> int:
-    k = max(ds.max_template() for ds in datasets) + 1
-    if k < 1:
-        raise DataError("cannot infer template count from an empty dataset")
-    return k
+    return max(ds.max_template() for ds in datasets) + 1
 
 
 def _split_held_out(samples, k: int, what: str):
@@ -204,61 +205,48 @@ def _load_split(cfg: RunConfig):
     return train_ds, test_ds
 
 
-def _train_on(cfg: RunConfig, train_ds, test_ds, log=None, every_epoch: bool = True):
-    """Core training loop; returns (model, vocab, ``METRICS_HEADER`` rows, final test report).
-
-    The test report is the last snapshot's, taken of the returned model.
-    With ``every_epoch`` False no snapshot is taken and no row made: the
-    test split alone is evaluated, once, after the last epoch.
+class Run:
+    """One training run: model, Adam state, shuffle RNG, vocabulary, the
+    prepared splits and the count of epochs trained.  ``perfbench/run.py``
+    times it by rebinding ``train_step`` and ``_evaluate_arrays``, so it
+    calls them through this module's globals.
     """
-    dtype = _dtype_for(cfg)
-    train_samples = list(train_ds.samples)
-    if cfg.rephrased_holdout:
-        k = _infer_template_count(train_ds, test_ds)
-        train_samples = _split_held_out(train_samples, k, "rephrased holdout")[0]
-    if not train_samples:
-        raise DataError("training split is empty")
-    vocab = build_vocab([s.question for s in train_samples], cfg.min_word_count)
-    model = init_params(cfg.to_model_config(vocab.size, len(train_ds.label_map)), cfg.seed, dtype)
-    opt = ad.AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-    feats, qids, labels, types = _prepare_arrays(cfg, vocab, train_ds, train_samples)
-    t_feats, t_qids, t_labels, t_types = _prepare_arrays(
-        cfg, vocab, test_ds, test_ds.samples
-    )
-    shuffle_rng = np.random.Generator(np.random.PCG64([cfg.seed, 1]))
-    rows = []
 
-    def snapshot(epoch: int, running_loss):
-        tr_loss, tr_rep = _evaluate_arrays(model, cfg, feats, qids, labels, types)
-        va_loss, va_rep = _evaluate_arrays(model, cfg, t_feats, t_qids, t_labels, t_types)
-        train_loss = running_loss if running_loss is not None else tr_loss
-        tr_scores = _score_rows(tr_rep)[0][2:]
-        va_scores = _score_rows(va_rep)[0][2:]
-        rows.append([epoch, repr(train_loss), *tr_scores, repr(va_loss), *va_scores])
-        if log:
-            log(
-                f"epoch {epoch}/{cfg.epochs}  train_loss={train_loss:.6f}"
-                f"  train_acc={tr_scores[0]}  val_acc={va_scores[0]}"
-            )
-        return va_rep
+    def __init__(self, cfg: RunConfig, train_ds, test_ds):
+        samples = list(train_ds.samples)
+        if cfg.rephrased_holdout:
+            k = _infer_template_count(train_ds, test_ds)
+            samples = _split_held_out(samples, k, "rephrased holdout")[0]
+        if not samples:
+            raise DataError("training split is empty")
+        self.cfg = cfg
+        self.vocab = build_vocab([s.question for s in samples], cfg.min_word_count)
+        model_cfg = cfg.to_model_config(self.vocab.size, len(train_ds.label_map))
+        self.model = init_params(model_cfg, cfg.seed, _dtype_for(cfg))
+        self.opt = ad.AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+        self.train_split = _prepare_arrays(cfg, self.vocab, train_ds, samples)
+        self.test_split = _prepare_arrays(cfg, self.vocab, test_ds, test_ds.samples)
+        self.shuffle_rng = np.random.Generator(np.random.PCG64([cfg.seed, 1]))
+        self.epoch = 0
 
-    for epoch in range(1, cfg.epochs + 1):
-        perm = shuffle_rng.permutation(len(train_samples))
+    def train_epoch(self) -> float:
+        """Train one shuffled epoch; returns its sample-weighted mean loss."""
+        self.epoch += 1
+        feats, qids, labels, _ = self.train_split
+        perm = self.shuffle_rng.permutation(len(labels))
         total = 0.0
-        for step, lo in enumerate(range(0, len(perm), cfg.batch_size), start=1):
-            idx = perm[lo : lo + cfg.batch_size]
+        for step, lo in enumerate(range(0, len(perm), self.cfg.batch_size), start=1):
+            idx = perm[lo : lo + self.cfg.batch_size]
             try:
-                loss = train_step((feats[idx], qids[idx], labels[idx]), model, opt)
+                loss = train_step((feats[idx], qids[idx], labels[idx]), self.model, self.opt)
             except NonFiniteError as exc:
-                raise NonFiniteError(f"epoch {epoch} step {step}: {exc}") from exc
+                raise NonFiniteError(f"epoch {self.epoch} step {step}: {exc}") from exc
             total += loss * len(idx)
-        if every_epoch:
-            test_report = snapshot(epoch, total / len(perm))
-    if not every_epoch:
-        test_report = _evaluate_arrays(model, cfg, t_feats, t_qids, t_labels, t_types)[1]
-    elif cfg.epochs == 0:
-        test_report = snapshot(0, None)
-    return model, vocab, rows, test_report
+        return total / len(perm)
+
+    def evaluate(self, split):
+        """(mean loss, MetricsReport) of the model on ``train_split`` or ``test_split``."""
+        return _evaluate_arrays(self.model, self.cfg, *split)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -287,13 +275,24 @@ def cmd_train(args) -> int:
     train_ds, test_ds = _load_split(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, vocab, rows, _ = _train_on(cfg, train_ds, test_ds, log=print)
+    run = Run(cfg, train_ds, test_ds)
+    rows = []
+    # epochs = 0 still makes one row: the initial model, its train loss evaluated.
+    for _ in range(max(cfg.epochs, 1)):
+        running_loss = run.train_epoch() if cfg.epochs else None
+        tr_loss, tr_rep = run.evaluate(run.train_split)
+        va_loss, va_rep = run.evaluate(run.test_split)
+        train_loss = tr_loss if running_loss is None else running_loss
+        tr_scores, va_scores = _score_rows(tr_rep)[0][2:], _score_rows(va_rep)[0][2:]
+        rows.append([run.epoch, repr(train_loss), *tr_scores, repr(va_loss), *va_scores])
+        print(f"epoch {run.epoch}/{cfg.epochs}  train_loss={train_loss:.6f}"
+              f"  train_acc={tr_scores[0]}  val_acc={va_scores[0]}")
     _write_csv(out_dir / METRICS_CSV, METRICS_HEADER, rows)
     save_checkpoint(
         out_dir / CHECKPOINT_NAME,
-        model,
+        run.model,
         serialize_config(cfg),
-        vocab.to_lines(),
+        run.vocab.to_lines(),
         label_lines(train_ds.label_map),
     )
     print(f"checkpoint: {out_dir / CHECKPOINT_NAME}")
@@ -329,7 +328,10 @@ def cmd_eval(args) -> int:
     if args.data:
         cfg = replace(cfg, data_dir=args.data)
     model = restore_model(model_cfg, tensors, _dtype_for(cfg))
-    test_ds = load_dataset(Path(cfg.data_dir) / "test.jsonl")
+    manifest = Path(cfg.data_dir) / "test.jsonl"
+    test_ds = load_dataset(manifest)
+    if not test_ds.samples:
+        raise DataError(f"{manifest}: no samples to evaluate")
     if test_ds.label_map != ckpt_label_map:
         raise ConfigError("checkpoint label map does not match the dataset's labels.tsv")
     out_dir = Path(cfg.out_dir)
@@ -354,9 +356,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_ABLATION_ORDERS = ("early_word", "early_vision")
-_ABLATION_POSES = ("zero", "actual")
-_ABLATION_BACKENDS = ("cnn_lite", "vit_lite")
+# The order, pose_mode and backend axes, each in ablation.csv row order.
+_ABLATION_AXES = (("early_word", "early_vision"), ("zero", "actual"), ("cnn_lite", "vit_lite"))
 
 
 def cmd_ablate(args) -> int:
@@ -366,37 +367,31 @@ def cmd_ablate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     cell_acc = {}
-    for order in _ABLATION_ORDERS:
-        for pose in _ABLATION_POSES:
-            for backend in _ABLATION_BACKENDS:
-                cell = (order, pose, backend)
-                cell_cfg = replace(
-                    cfg, order=order, vision_pose_mode=pose, vision_backend=backend
-                )
-                label = f"{order}/{pose}/{backend}"
-                print(f"[ablate] training cell {label}")
-                try:
-                    _, _, _, report = _train_on(cell_cfg, train_ds, test_ds, every_epoch=False)
-                except Exception as exc:  # keep remaining cells running
-                    rows.append([*cell, cfg.use_type_embedding, "overall", "", "", "", "",
-                                 f"error: {exc}"])
-                    print(f"[ablate] cell {label} failed: {exc}")
-                    continue
-                cell_acc[cell] = report.acc
-                rows.extend(
-                    [*cell, cfg.use_type_embedding, *row, "ok"] for row in _score_rows(report)
-                )
+    for cell in itertools.product(*_ABLATION_AXES):
+        order, pose, backend = cell
+        cell_cfg = replace(cfg, order=order, vision_pose_mode=pose, vision_backend=backend)
+        label = "/".join(cell)
+        print(f"[ablate] training cell {label}")
+        try:
+            run = Run(cell_cfg, train_ds, test_ds)
+            for _ in range(cfg.epochs):
+                run.train_epoch()
+            report = run.evaluate(run.test_split)[1]
+        except Exception as exc:  # keep remaining cells running
+            rows.append([*cell, cfg.use_type_embedding, "overall", "", "", "", "",
+                         f"error: {exc}"])
+            print(f"[ablate] cell {label} failed: {exc}")
+            continue
+        cell_acc[cell] = report.acc
+        rows.extend([*cell, cfg.use_type_embedding, *row, "ok"] for row in _score_rows(report))
     _write_csv(
         out_dir / ABLATION_CSV,
         ["order", "pose_mode", "backend", "type_embedding", *SCORE_HEADER, "status"],
         rows,
     )
     print(f"ablation csv: {out_dir / ABLATION_CSV}")
-    for title, axis, a, b in (
-        ("order", 0, "early_word", "early_vision"),
-        ("pose_mode", 1, "actual", "zero"),
-        ("backend", 2, "cnn_lite", "vit_lite"),
-    ):
+    deltas = [("early_word", "early_vision"), ("actual", "zero"), ("cnn_lite", "vit_lite")]
+    for axis, (a, b) in enumerate(deltas):
         accs_a = [v for c, v in cell_acc.items() if c[axis] == a]
         accs_b = [v for c, v in cell_acc.items() if c[axis] == b]
         if accs_a and accs_b:
@@ -411,13 +406,12 @@ def cmd_ablate(args) -> int:
 # argument parsing
 
 
-def _add_common(p, with_data=True):
+def _add_common(p):
     p.add_argument("--config", help="path to a key = value config file")
     p.add_argument("--profile", choices=("desk", "paper"), help="named settings bundle")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", help="override the output directory")
-    if with_data:
-        p.add_argument("--data", help="override the dataset directory")
+    p.add_argument("--data", help="override the dataset directory")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -28,6 +28,7 @@ re-parser verify every stored answer.
 
 from __future__ import annotations
 
+import functools
 import json
 import zlib
 from dataclasses import dataclass
@@ -115,21 +116,26 @@ class VQADataset:
 # rendering
 
 
+@functools.cache
 def _shape_mask(shape: str, cell: int) -> np.ndarray:
+    """The (cell, cell) mask of ``shape``, built once and read-only: every caller shares it."""
     r, c = np.mgrid[0:cell, 0:cell]
     lo = cell * 3 // 16
     hi = cell - lo
     mid = (cell - 1) / 2.0
     if shape == "square":
-        return (r >= lo) & (r < hi) & (c >= lo) & (c < hi)
-    if shape == "circle":
+        mask = (r >= lo) & (r < hi) & (c >= lo) & (c < hi)
+    elif shape == "circle":
         radius = cell * 0.34
-        return (r - mid) ** 2 + (c - mid) ** 2 <= radius * radius
-    if shape == "triangle":
+        mask = (r - mid) ** 2 + (c - mid) ** 2 <= radius * radius
+    elif shape == "triangle":
         # Upward-pointing: width grows linearly from the apex row.
         half_width = (r - lo) * 0.55
-        return (r >= lo) & (r < hi) & (np.abs(c - mid) <= half_width)
-    raise DataError(f"unknown shape {shape!r}")
+        mask = (r >= lo) & (r < hi) & (np.abs(c - mid) <= half_width)
+    else:
+        raise DataError(f"unknown shape {shape!r}")
+    mask.flags.writeable = False
+    return mask
 
 
 def render_scene(scene: list, grid: int, size: int) -> np.ndarray:

@@ -272,6 +272,23 @@ def test_epochs_zero_checkpoint_equals_initialization(mini_corpus, tmp_path):
         assert np.array_equal(arr, fresh.params[name].data), name
 
 
+def test_two_runs_from_one_config_agree_bitwise(mini_corpus):
+    # Everything a resumed run would need to carry over: weights, Adam
+    # moments and step, shuffle-RNG state, epoch.  The runs take turns, so
+    # state shared between them would show as a difference.
+    cfg = mini_run_config(mini_corpus["root"], "unused")
+    train_ds, test_ds = cli._load_split(cfg)
+    a, b = cli.Run(cfg, train_ds, test_ds), cli.Run(cfg, train_ds, test_ds)
+    fresh_rng = a.shuffle_rng.bit_generator.state
+    for _ in range(2):
+        assert a.train_epoch() == b.train_epoch()
+    assert a.epoch == b.epoch == 2
+    assert a.opt.step == b.opt.step == 2 * -(-len(a.train_split[2]) // cfg.batch_size)
+    for x, y in ((a.model.flat, b.model.flat), (a.opt.m, b.opt.m), (a.opt.v, b.opt.v)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert a.shuffle_rng.bit_generator.state == b.shuffle_rng.bit_generator.state != fresh_rng
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -631,6 +648,21 @@ def test_exit_code_3_on_data_error(mini_corpus, tmp_path):
     cfg = mini_run_config(data, tmp_path / "out", order="early_vision")
     cfg_path = write_config(tmp_path / "c.cfg", cfg)
     assert main(["train", "--config", cfg_path]) == 3
+
+
+def test_eval_of_an_empty_test_split_exits_3_naming_the_manifest(trained_mini, tmp_path, capsys):
+    data = tmp_path / "empty"
+    data.mkdir()
+    shutil.copy(trained_mini["data"] / "labels.tsv", data / "labels.tsv")
+    (data / "test.jsonl").write_text("")
+    ckpt = str(trained_mini["out"] / CHECKPOINT_NAME)
+    capsys.readouterr()
+    for extra in ([], ["--rephrased"]):
+        argv = ["eval", "--checkpoint", ckpt, "--data", str(data), "--out", str(tmp_path / "out")]
+        assert main(argv + extra) == 3
+    manifest = data / "test.jsonl"
+    assert capsys.readouterr().err.splitlines() == [f"error: {manifest}: no samples to evaluate"] * 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_3_on_unsatisfiable_generator(tmp_path):

@@ -21,6 +21,7 @@ from vqagpt.data import (
     load_label_map,
     parse_label_lines,
     render_scene,
+    _shape_mask,
 )
 from vqagpt.config import RunConfig
 from vqagpt.errors import ConfigError, DataError
@@ -110,6 +111,14 @@ def test_rendered_scene_matches_answer_semantics():
     # red cell occupies the top-left octant: its red channel dominates there
     tl = img[:8, :8]
     assert tl[..., 0].max() > 0.8 and tl[..., 1].max() < 0.3
+
+
+def test_shape_masks_are_built_once_and_read_only():
+    for shape in SHAPES:
+        mask = _shape_mask(shape, 8)
+        assert _shape_mask(shape, 8) is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = True
 
 
 def test_unsatisfiable_specs_error(tmp_path):

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import vqagpt.cli as cli
 import vqagpt.model as model
-from vqagpt.config import RunConfig
+from conftest import mini_run_config
+from vqagpt.config import RunConfig, serialize_config
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,3 +62,33 @@ def test_the_calls_the_benchmark_makes_bind_to_the_package_signatures():
     # replacing these cli globals, so cli must call them through its globals.
     assert cli.train_step is model.train_step
     assert cli.save_checkpoint is model.save_checkpoint
+
+
+def test_the_wrapped_globals_see_every_step_then_two_passes_per_epoch(
+    mini_corpus, tmp_path, monkeypatch
+):
+    # perfbench/run.py's Command.epoch_times reads an epoch as its train
+    # steps, then one pass over the train split and one over the test split.
+    real_step, real_evaluate, events = cli.train_step, cli._evaluate_arrays, []
+
+    def train_step(batch, *rest):
+        events.append(("step", len(batch[2])))
+        return real_step(batch, *rest)
+
+    def evaluate_arrays(model, cfg, images, qids, labels, types):
+        events.append(("pass", len(labels)))
+        return real_evaluate(model, cfg, images, qids, labels, types)
+
+    monkeypatch.setattr(cli, "train_step", train_step)
+    monkeypatch.setattr(cli, "_evaluate_arrays", evaluate_arrays)
+    n_train, n_test = len(mini_corpus["train"]), len(mini_corpus["test"])
+    assert n_train != n_test
+    passes = [("pass", n_train), ("pass", n_test)]
+    for epochs in (2, 0):
+        cfg = mini_run_config(mini_corpus["root"], tmp_path / f"out{epochs}", epochs=epochs)
+        (tmp_path / "run.cfg").write_text(serialize_config(cfg))
+        events.clear()
+        assert cli.main(["train", "--config", str(tmp_path / "run.cfg")]) == 0
+        steps = [("step", min(cfg.batch_size, n_train - lo))
+                 for lo in range(0, n_train, cfg.batch_size)]
+        assert events == ((steps + passes) * epochs if epochs else passes)
