@@ -23,8 +23,12 @@ Design constraints, in rough order of importance:
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +59,32 @@ class no_grad:
     def __exit__(self, *exc):
         _RECORDING.on = self._prev
         return False
+
+
+@functools.cache
+def worker_pool() -> ThreadPoolExecutor:
+    """Threads for eval chunks and train-step halves, made on first use: one per core, at most two.
+
+    Each is pinned to its core where the OS allows it: unpinned, two threads
+    taking turns on the GIL could be left on one core for passes on end.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return ThreadPoolExecutor(min(2, os.cpu_count() or 1))
+    cores = sorted(os.sched_getaffinity(0))[:2]
+    return ThreadPoolExecutor(len(cores), initializer=_pin_thread, initargs=(cores,))
+
+
+def _pin_thread(cores: list) -> None:
+    """Pin the calling thread to a core it takes from ``cores``; unpinned if that core is gone."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, {cores.pop()})
+
+
+def pool_map(fn, *iterables) -> list:
+    """``fn`` over zipped ``iterables`` on the pool, in order; all calls end before any raises."""
+    futures = [worker_pool().submit(fn, *args) for args in zip(*iterables)]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 class Tensor:

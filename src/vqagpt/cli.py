@@ -11,9 +11,10 @@ also exit 2).
 
 Determinism note: runs are reproducible bit-for-bit only in single-threaded
 BLAS mode; pin OMP_NUM_THREADS=1 (or the OpenBLAS equivalent) when that
-matters.  Evaluation forwards its ``EVAL_CHUNK``-sample chunks on up to
-two threads, each pinned to a core of its own; a sample's logits do not
-depend on its chunk, so no output depends on the thread count.
+matters.  ``autodiff.worker_pool`` holds up to two threads, each pinned to
+a core of its own.  Evaluation forwards its ``EVAL_CHUNK``-sample chunks
+there, and a train step of 64 or more samples its two halves (see
+``model.train_step``); no output depends on the thread count.
 
 Allocator policy: on glibc, ``main`` sets three fixed ``mallopt`` values
 (no key, flag or variable); elsewhere it leaves the allocator alone.  By
@@ -22,21 +23,23 @@ next step page-faults them in again.  The mmap threshold (32 MiB) keeps
 the arrays on the heap and the trim threshold (512 MiB) keeps the heap
 from shrinking.  Both are set: any ``mallopt`` call freezes glibc's
 self-tuning thresholds where they stand, and either alone still faults.
-One arena (``M_ARENA_MAX``) makes the evaluation threads reuse that
-resident heap instead of growing arenas of their own.
+One arena (``M_ARENA_MAX``) makes the pool's threads reuse that
+resident heap instead of growing arenas of their own.  The two halves of
+a split train step allocate from it in an order that varies from step to
+step, so its peak creeps up by a few MiB over the first epochs, and each
+new peak faults pages in.  So after the first split step in the process,
+``reserve_heap`` grows the heap by a sixteenth, faulted in and left free
+at its top, where that creep lands.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import ctypes
 import functools
 import itertools
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,6 +63,7 @@ from .data import (
 from .errors import CheckpointError, ConfigError, DataError, NonFiniteError, VqagptError
 from .metrics import compute_metrics, report_lines
 from .model import (
+    SPLIT_BATCH,
     feature_logits,
     init_params,
     load_checkpoint,
@@ -126,8 +130,6 @@ def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
     are read and featurized in ``EVAL_CHUNK``-sample chunks into one
     preallocated array, so the split's raw images are never all held at once.
     """
-    if not samples:
-        raise DataError("no samples to prepare")
     feats = np.empty((len(samples),) + feature_shape(cfg), dtype=_dtype_for(cfg))
     for lo in range(0, len(samples), EVAL_CHUNK):
         chunk = load_images(dataset, samples[lo : lo + EVAL_CHUNK])
@@ -140,25 +142,6 @@ def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
     return feats, qids, labels, types
 
 
-@functools.cache
-def _eval_pool() -> ThreadPoolExecutor:
-    """The evaluation threads, made on first use: one per usable core, at most two.
-
-    Each is pinned to its core where the OS allows it: unpinned, two threads
-    taking turns on the GIL could be left on one core for passes on end.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return ThreadPoolExecutor(min(2, os.cpu_count() or 1))
-    cores = sorted(os.sched_getaffinity(0))[:2]
-    return ThreadPoolExecutor(len(cores), initializer=_pin_thread, initargs=(cores,))
-
-
-def _pin_thread(cores: list) -> None:
-    """Pin the calling thread to a core it takes from ``cores``; unpinned if that core is gone."""
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, {cores.pop()})
-
-
 def _chunk_logits(model, feats, qids, lo: int) -> np.ndarray:
     """Logits of the ``EVAL_CHUNK`` samples from ``lo``; this thread records no graph."""
     with ad.no_grad():
@@ -169,13 +152,13 @@ def _evaluate_arrays(model, cfg: RunConfig, feats, qids, labels, types):
     """Mean loss + MetricsReport over the arrays, no grad recorded.
 
     The forward passes run in ``EVAL_CHUNK``-sample chunks, not at
-    ``cfg.batch_size``, spread over ``_eval_pool`` and joined in chunk
-    order.  The loss is taken once over all logits, so as long as a
+    ``cfg.batch_size``, spread over ``autodiff.worker_pool`` and joined in
+    chunk order.  The loss is taken once over all logits, so as long as a
     sample's logits do not depend on the other samples in its chunk, the
     result depends neither on the chunk size nor on the thread count.
     """
     chunk_logits = functools.partial(_chunk_logits, model, feats, qids)
-    logits = np.concatenate(list(_eval_pool().map(chunk_logits, range(0, len(labels), EVAL_CHUNK))))
+    logits = np.concatenate(ad.pool_map(chunk_logits, range(0, len(labels), EVAL_CHUNK)))
     loss = ad.cross_entropy(ad.Tensor(logits), labels)
     preds = np.argmax(logits, axis=-1)
     report = compute_metrics(preds, labels, types, n_classes=model.config.num_classes)
@@ -197,9 +180,13 @@ def _split_held_out(samples, k: int, what: str):
 
 
 def _load_split(cfg: RunConfig):
-    data_dir = Path(cfg.data_dir)
-    train_ds = load_dataset(data_dir / "train.jsonl")
-    test_ds = load_dataset(data_dir / "test.jsonl")
+    splits = []
+    for name, use in (("train", "train on"), ("test", "evaluate")):
+        manifest = Path(cfg.data_dir) / f"{name}.jsonl"
+        splits.append(load_dataset(manifest))
+        if not splits[-1].samples:
+            raise DataError(f"{manifest}: no samples to {use}")
+    train_ds, test_ds = splits
     if train_ds.label_map != test_ds.label_map:
         raise DataError("train and test label maps disagree")
     return train_ds, test_ds
@@ -241,6 +228,8 @@ class Run:
                 loss = train_step((feats[idx], qids[idx], labels[idx]), self.model, self.opt)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"epoch {self.epoch} step {step}: {exc}") from exc
+            if step == 1 and len(idx) >= SPLIT_BATCH:
+                reserve_heap()
             total += loss * len(idx)
         return total / len(perm)
 
@@ -456,6 +445,36 @@ def keep_heap_resident() -> bool:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     # M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD -1 and M_ARENA_MAX -8 in glibc's malloc.h.
     return bool(mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20) and mallopt(-8, 1))
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+@functools.cache
+def reserve_heap() -> None:
+    """Grow the heap once by a sixteenth, faulted in and left free (see the module docstring)."""
+    try:
+        libc = ctypes.CDLL(None)
+        info, malloc, free = libc.mallinfo2, libc.malloc, libc.free
+    except (AttributeError, OSError, TypeError):
+        return
+    if not keep_heap_resident():  # the blocks below must come from the heap, not from mmap
+        return
+    info.restype, malloc.restype, malloc.argtypes = _MallInfo2, ctypes.c_void_p, (ctypes.c_size_t,)
+    info.argtypes, free.argtypes = (), (ctypes.c_void_p,)
+    heap, blocks = info(), []
+    # 1 MiB blocks fill the free chunks first, then grow the heap; the bound
+    # covers every free byte plus the growth.
+    for _ in range((heap.fordblks + heap.arena // 16 >> 20) + 2):
+        if info().arena >= heap.arena + heap.arena // 16 or not (block := malloc(1 << 20)):
+            break
+        ctypes.memset(block, 0, 1 << 20)
+        blocks.append(block)
+    for block in blocks:
+        free(block)
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 Python loops, scipy reference routines, regex question parsing) and shares
-no code path with the package.  These were written and frozen before the
-tests that rely on them; expected values are computed, never invented.
+no code path with the package, except the reference bodies at the end.
+These were written and frozen before the tests that rely on them; expected
+values are computed, never invented.
 """
 
 import math
@@ -254,3 +255,34 @@ def gelu_erf_reference(x: np.ndarray) -> np.ndarray:
     return np.array(
         [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.reshape(-1)]
     ).reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
+# reference bodies
+
+
+def one_part_train_step(batch, model, opt) -> float:
+    """The train step as one part, whatever the batch size.
+
+    One forward over the whole batch, one cross-entropy, one backward, then
+    the non-finite checks and Adam.  Unlike the oracles above, it runs on
+    the package's own forward and kernels: it pins the step's composition,
+    not its arithmetic.
+    """
+    from vqagpt import autodiff as ad
+    from vqagpt.errors import NonFiniteError
+    from vqagpt.model import feature_logits
+
+    features, question_ids, labels = batch
+    ad.zero_grad(model.grad)
+    logits = feature_logits(features, question_ids, model)
+    loss = ad.cross_entropy(logits, labels)
+    ad.backward(loss)
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise NonFiniteError(f"non-finite loss {value}")
+    if not np.isfinite(model.grad).all():
+        name = next(n for n, p in model.params.items() if not np.isfinite(p.grad).all())
+        raise NonFiniteError(f"non-finite gradient in {name}")
+    ad.adam_step(model.flat, model.grad, opt)
+    return value

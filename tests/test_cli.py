@@ -16,6 +16,7 @@ import pytest
 
 import vqagpt.autodiff as ad
 import vqagpt.cli as cli
+import vqagpt.model as model_module
 from conftest import mini_run_config
 from vqagpt.cli import CHECKPOINT_NAME, EVAL_CSV, METRICS_CSV, main
 from vqagpt.config import (
@@ -391,7 +392,7 @@ def test_evaluation_is_bitwise_the_same_on_any_number_of_threads(
                 if switch:
                     sys.setswitchinterval(switch)
                 with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(cli, "_eval_pool", lambda: pool)
+                    monkeypatch.setattr(ad, "worker_pool", lambda: pool)
                     results.append(cli._evaluate_arrays(model, run_cfg, *arrays))
             finally:
                 sys.setswitchinterval(interval)
@@ -435,7 +436,7 @@ def test_a_misshapen_chunk_raises_the_serial_data_error_on_any_pool(
     assert len(mini_corpus["test"].samples) % cli.EVAL_CHUNK != 0
     for workers in (1, 2):
         with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(cli, "_eval_pool", lambda: pool)
+            monkeypatch.setattr(ad, "worker_pool", lambda: pool)
             with pytest.raises(DataError) as pooled:
                 cli._evaluate_arrays(model, cfg, *arrays)
             assert str(pooled.value) == str(serial.value)
@@ -458,7 +459,7 @@ def test_each_evaluation_thread_is_pinned_to_a_core_of_its_own():
         all_in.wait(timeout=30)  # holds each task until n threads run one
         return frozenset(os.sched_getaffinity(0))
 
-    with cli._eval_pool.__wrapped__() as pool:
+    with ad.worker_pool.__wrapped__() as pool:
         seen = set(pool.map(affinity, range(n)))
     assert seen == {frozenset({core}) for core in sorted(usable)[:n]}
     assert os.sched_getaffinity(0) == usable
@@ -470,7 +471,7 @@ def test_an_evaluation_thread_whose_core_is_gone_runs_unpinned():
     # thread's start; the thread must still run chunks, on any core.
     usable = os.sched_getaffinity(0)
     gone = max(usable) + 4096
-    with ThreadPoolExecutor(1, initializer=cli._pin_thread, initargs=([gone],)) as pool:
+    with ThreadPoolExecutor(1, initializer=ad._pin_thread, initargs=([gone],)) as pool:
         assert pool.submit(os.sched_getaffinity, 0).result() == usable
 
 
@@ -665,6 +666,50 @@ def test_eval_of_an_empty_test_split_exits_3_naming_the_manifest(trained_mini, t
     assert not (tmp_path / "out").exists()
 
 
+def test_train_on_an_empty_split_exits_3_naming_the_manifest_before_making_anything(
+    mini_corpus, tmp_path, capsys
+):
+    # Both manifests are read and checked before the output directory is
+    # made and before the train split is featurized.
+    for split, use in (("test", "evaluate"), ("train", "train on")):
+        data = tmp_path / f"empty_{split}"
+        shutil.copytree(mini_corpus["root"], data)
+        (data / f"{split}.jsonl").write_text("")
+        out = tmp_path / f"out_{split}"
+        cfg_path = write_config(tmp_path / f"{split}.cfg", mini_run_config(data, out))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path]) == 3
+        manifest = data / f"{split}.jsonl"
+        assert capsys.readouterr().err.splitlines() == [f"error: {manifest}: no samples to {use}"]
+        assert not out.exists()
+
+
+def test_a_misshapen_half_of_a_batch_64_step_makes_train_exit_3(
+    mini_corpus, tmp_path, capsys, monkeypatch
+):
+    # The replica's half gets features one column short; its DataError
+    # leaves the pool and reaches main as the one-part step's would.
+    models, real_step, real_logits = [], cli.train_step, model_module.feature_logits
+
+    def step(batch, model, opt):
+        models.append(model)
+        return real_step(batch, model, opt)
+
+    def short_in_the_replica(feats, qids, model):
+        return real_logits(feats[..., :-1] if model is not models[-1] else feats, qids, model)
+
+    monkeypatch.setattr(cli, "train_step", step)
+    monkeypatch.setattr(model_module, "feature_logits", short_in_the_replica)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path / "c.cfg",
+                            mini_run_config(mini_corpus["root"], out, batch_size=64))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(models) == 1 and len(err) == 1 and "got shape (32, " in err[0], err
+    assert not (out / CHECKPOINT_NAME).exists()
+
+
 def test_exit_code_3_on_unsatisfiable_generator(tmp_path):
     # more cells than count words; too few templates; a grid that does not divide the image
     for overrides in ({"grid_size": 4}, {"templates_per_type": 1}, {"grid_size": 3}):
@@ -846,10 +891,12 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 # Batch-64 desk epochs in a fresh process, whose heap has only its own
 # history; prints the page faults of each train step and the number of
 # malloc arenas (glibc's malloc_info lists one <heap> each).  Evaluation
-# runs on a two-thread pool, whatever the machine's core count.
+# and the two halves of each batch-64 step run on a two-thread pool,
+# whatever the machine's core count.
 COUNT_STEP_FAULTS = """
 import ctypes, json, resource, sys
 from concurrent.futures import ThreadPoolExecutor
+import vqagpt.autodiff as ad
 import vqagpt.cli as cli
 
 faults, step = [], cli.train_step
@@ -862,7 +909,7 @@ def counting(*args):
     return loss
 
 cli.train_step = counting
-cli._eval_pool = lambda: pool
+ad.worker_pool = lambda: pool
 code = cli.main(sys.argv[1:])
 libc, buf, size = ctypes.CDLL(None), ctypes.c_char_p(), ctypes.c_size_t()
 libc.open_memstream.restype = ctypes.c_void_p
@@ -879,8 +926,8 @@ print(json.dumps([code, faults, arenas]))
 def desk_b64_step_faults(desk_corpus, tmp_path, epochs: int) -> list:
     """Page faults of each step of an ``epochs``-epoch batch-64 desk ``train``.
 
-    Each epoch ends in evaluation passes on two threads, which must have
-    left the process one malloc arena.
+    The steps' halves and each epoch's evaluation passes run on two
+    threads, which must have left the process one malloc arena.
     """
     if not cli.keep_heap_resident():
         pytest.skip("no glibc mallopt here, so the allocator policy does not apply")

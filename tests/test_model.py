@@ -1,5 +1,7 @@
 """Decoder stack, classification head, train step, and checkpoint format."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ from vqagpt import kernels
 from vqagpt.autodiff import AdamState, Tensor
 from vqagpt.config import ModelConfig, RunConfig, apply_profile
 from vqagpt.embedding import VISION_TYPE, WORD_TYPE, TokenSequence
-from vqagpt.errors import CheckpointError, ConfigError, NonFiniteError
+from vqagpt.errors import CheckpointError, ConfigError, DataError, NonFiniteError
 from vqagpt.model import (
     VQAModel,
     build_sequence,
@@ -27,7 +29,7 @@ from vqagpt.model import (
 )
 from vqagpt.tokenizers import PAD_ID, image_features
 
-from oracles import gelu_reference, softmax_reference
+from oracles import gelu_reference, one_part_train_step, softmax_reference
 
 
 def small_config(**kw):
@@ -426,6 +428,153 @@ def test_parameter_outside_the_loss_graph_stays_bitwise_unchanged():
     for k, v in m.params.items():
         if k != "emb.type":
             assert not np.array_equal(v.data, before[k]), k
+
+
+# ---------------------------------------------------------------------------
+# the split train step
+
+# The two model shapes the split step must handle: a cnn_lite tokenizer with
+# actual-pose rows, and a vit_lite one whose internal pose table is added by
+# broadcast over the batch, with zero-pose rows, read out from the words.
+SPLIT_CASES = {
+    "cnn_early_word_actual": dict(vision_backend="cnn_lite", order="early_word",
+                                  vision_pose_mode="actual"),
+    "vit_early_vision_zero_internal": dict(vision_backend="vit_lite", order="early_vision",
+                                           vision_pose_mode="zero", vit_internal_pose=True),
+}
+
+
+def split_model(case, dtype, seed=50):
+    keys = RunConfig(d=16, n_layers=1, n_heads=2, mlp_ratio=2, max_pos=32, image_size=16,
+                     patch_grid=2, token_dim=8, **SPLIT_CASES[case])
+    return init_params(keys.to_model_config(vocab_size=12, num_classes=7), seed, dtype)
+
+
+def adam_bytes(opt):
+    return opt.m.tobytes(), opt.v.tobytes(), opt.step
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_train_step_is_the_one_part_step_below_64_and_agrees_to_the_last_bits_above(
+    case, dtype, monkeypatch
+):
+    # Below SPLIT_BATCH the step is the one-part reference bit for bit.  From
+    # it on, the loss still is, and the gradient differs only in the last
+    # bits: each sum over the batch is now the sum of two half sums.
+    rtol = 1e-6 if dtype == np.float32 else 1e-12
+    split_calls = []
+    real_split = model_module._split_backward
+    monkeypatch.setattr(model_module, "_split_backward",
+                        lambda *a: split_calls.append(len(a[2])) or real_split(*a))
+    assert model_module.SPLIT_BATCH == 64
+    for n in (4, 16, 63, 64, 67):
+        ref, got = split_model(case, dtype), split_model(case, dtype)
+        ref_opt, got_opt = AdamState(lr=1e-2), AdamState(lr=1e-2)
+        batch = batch_for(ref, np.random.default_rng(n), n)
+        assert train_step(batch, got, got_opt) == one_part_train_step(batch, ref, ref_opt)
+        if n < 64:
+            assert got.grad.tobytes() == ref.grad.tobytes(), n
+            assert got.flat.tobytes() == ref.flat.tobytes(), n
+            assert adam_bytes(got_opt) == adam_bytes(ref_opt), n
+            continue
+        assert got.grad.tobytes() != ref.grad.tobytes(), n
+        assert np.abs(got.grad - ref.grad).max() <= rtol * np.abs(ref.grad).max(), n
+    assert split_calls == [64, 67]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_steps_are_bitwise_the_same_on_any_number_of_threads(case, dtype, monkeypatch):
+    # One worker runs the halves in turn, two side by side, four leave two
+    # idle; a 10 us switch interval makes the halves trade the GIL often.
+    for n in (64, 67):
+        results = []
+        for workers, switch in ((1, None), (2, None), (4, None), (4, 1e-5)):
+            m, opt = split_model(case, dtype), AdamState(lr=1e-2)
+            rng = np.random.default_rng(60 + n)
+            interval = sys.getswitchinterval()
+            try:
+                if switch:
+                    sys.setswitchinterval(switch)
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(ad, "worker_pool", lambda: pool)
+                    losses = [train_step(batch_for(m, rng, n), m, opt) for _ in range(2)]
+            finally:
+                sys.setswitchinterval(interval)
+            results.append((losses, m.flat.tobytes(), adam_bytes(opt)))
+        assert all(r == results[0] for r in results[1:]), n
+
+
+def test_an_error_in_one_half_raises_the_one_part_error_and_changes_nothing(monkeypatch):
+    case = "cnn_early_word_actual"
+    m, opt = split_model(case, np.float32), AdamState(lr=1e-2)
+    rng = np.random.default_rng(70)
+    train_step(batch_for(m, rng, 64), m, opt)  # Adam's moments are no longer zero
+    before = (m.flat.tobytes(), adam_bytes(opt))
+    feats, qids, labels = batch_for(m, rng, 67)  # half 1 holds samples 34..66
+
+    def raised(step, batch):
+        with pytest.raises((DataError, NonFiniteError, ValueError)) as info:
+            if step is one_part_train_step:
+                step(batch, split_model(case, np.float32), AdamState(lr=1e-2))
+            else:
+                step(batch, m, opt)
+        return type(info.value), str(info.value)
+
+    # Features one column short, in both halves or in the replica's only: the
+    # one-part step's error class, its message naming the half's shape.
+    short = (feats[..., :-1], qids, labels)
+    assert raised(one_part_train_step, short)[0] is DataError
+    assert raised(train_step, short)[0] is DataError
+    real_logits = model_module.feature_logits
+    with monkeypatch.context() as mp:
+        mp.setattr(model_module, "feature_logits", lambda f, q, mdl: real_logits(
+            f[..., :-1] if mdl is m.replica else f, q, mdl))
+        error, message = raised(train_step, (feats, qids, labels))
+    assert error is DataError and "got shape (33, " in message
+    assert (m.flat.tobytes(), adam_bytes(opt)) == before
+
+    # A NaN in the last sample: the loss is NaN, as the one-part step says.
+    poisoned = feats.copy()
+    poisoned[66] = np.nan
+    expected = raised(one_part_train_step, (poisoned, qids, labels))
+    assert expected == (NonFiniteError, "non-finite loss nan")
+    assert raised(train_step, (poisoned, qids, labels)) == expected
+    assert (m.flat.tobytes(), adam_bytes(opt)) == before
+
+    # A NaN gradient from the second half names its parameter.
+    real_backward = ad.backward
+
+    def nan_in_the_replica(root, grad=None):
+        real_backward(root, grad)
+        m.replica.params["h0.qkv_w"].grad[2, 3] = np.nan
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ad, "backward", nan_in_the_replica)
+        got = raised(train_step, (feats, qids, labels))
+    assert got == (NonFiniteError, "non-finite gradient in h0.qkv_w")
+    assert (m.flat.tobytes(), adam_bytes(opt)) == before
+
+    # A label out of range stops the step before any backward runs.
+    walks = []
+    monkeypatch.setattr(ad, "backward", lambda *a: walks.append(a) or real_backward(*a))
+    bad = labels.copy()
+    bad[50] = m.config.num_classes
+    assert raised(train_step, (feats, qids, bad))[:1] == (ValueError,)
+    assert "label out of range" in raised(train_step, (feats, qids, bad))[1]
+    assert walks == []
+    assert (m.flat.tobytes(), adam_bytes(opt)) == before
+
+
+def test_the_replica_shares_the_parameters_and_owns_its_gradients():
+    m = init_params(small_config(), seed=71)
+    rep = m.replica
+    assert rep is m.replica and rep.flat is m.flat and list(rep.params) == list(m.params)
+    for name, p in m.params.items():
+        assert np.shares_memory(rep.params[name].data, m.flat), name
+        assert np.shares_memory(rep.params[name].grad, rep.grad), name
+    assert not np.shares_memory(rep.grad, m.grad)
 
 
 # ---------------------------------------------------------------------------

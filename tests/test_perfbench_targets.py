@@ -11,6 +11,7 @@ instead.
 import importlib
 import importlib.util
 import inspect
+import threading
 from pathlib import Path
 
 import vqagpt.cli as cli
@@ -69,11 +70,21 @@ def test_the_wrapped_globals_see_every_step_then_two_passes_per_epoch(
 ):
     # perfbench/run.py's Command.epoch_times reads an epoch as its train
     # steps, then one pass over the train split and one over the test split.
+    # At batch 64 the 198 train samples make steps of 64, 64, 64 and 6: the
+    # first three run as two halves on the pool, which must not call the
+    # wrapped global, so perfbench's step time covers the pool's round trips
+    # and the gradient sum.
     real_step, real_evaluate, events = cli.train_step, cli._evaluate_arrays, []
+    real_split, splits = model._split_backward, []
 
     def train_step(batch, *rest):
         events.append(("step", len(batch[2])))
+        assert threading.get_ident() == caller
         return real_step(batch, *rest)
+
+    def split_backward(features, question_ids, labels, m):
+        splits.append(len(labels))
+        return real_split(features, question_ids, labels, m)
 
     def evaluate_arrays(model, cfg, images, qids, labels, types):
         events.append(("pass", len(labels)))
@@ -81,14 +92,20 @@ def test_the_wrapped_globals_see_every_step_then_two_passes_per_epoch(
 
     monkeypatch.setattr(cli, "train_step", train_step)
     monkeypatch.setattr(cli, "_evaluate_arrays", evaluate_arrays)
+    monkeypatch.setattr(model, "_split_backward", split_backward)
+    caller = threading.get_ident()
     n_train, n_test = len(mini_corpus["train"]), len(mini_corpus["test"])
     assert n_train != n_test
     passes = [("pass", n_train), ("pass", n_test)]
-    for epochs in (2, 0):
-        cfg = mini_run_config(mini_corpus["root"], tmp_path / f"out{epochs}", epochs=epochs)
+    for epochs, batch in ((2, 16), (0, 16), (2, 64)):
+        out = tmp_path / f"out{epochs}_{batch}"
+        cfg = mini_run_config(mini_corpus["root"], out, epochs=epochs, batch_size=batch)
         (tmp_path / "run.cfg").write_text(serialize_config(cfg))
         events.clear()
+        splits.clear()
         assert cli.main(["train", "--config", str(tmp_path / "run.cfg")]) == 0
         steps = [("step", min(cfg.batch_size, n_train - lo))
                  for lo in range(0, n_train, cfg.batch_size)]
         assert events == ((steps + passes) * epochs if epochs else passes)
+        assert splits == [n for _, n in steps if n >= model.SPLIT_BATCH] * epochs
+    assert steps == [("step", 64)] * 3 + [("step", 6)]
