@@ -19,11 +19,23 @@ Design constraints, in rough order of importance:
   training speed, f64 for gradient checking) and propagates from there.
 * Calling ``backward`` twice on the same graph would double-accumulate,
   so the second call raises instead.
+
+Allocator policy, on glibc only, with fixed values (no key, flag or
+variable): ``keep_heap_resident`` sets the mmap threshold (32 MiB) and the
+trim threshold (512 MiB), so a train step's freed arrays stay on a heap
+that does not shrink and the next step faults no pages.  Both are needed,
+since any ``mallopt`` call freezes glibc's self-tuning thresholds.  One
+arena (``M_ARENA_MAX``) keeps the pool's threads on that resident heap.
+The halves of a split train step allocate from it in an order that varies
+from step to step, so its peak creeps up over the first epochs; after the
+first split step, ``reserve_heap`` grows it once by a sixteenth, left free
+at its top, where that creep lands.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import os
@@ -85,6 +97,47 @@ def pool_map(fn, *iterables) -> list:
     futures = [worker_pool().submit(fn, *args) for args in zip(*iterables)]
     wait(futures)
     return [f.result() for f in futures]
+
+
+def keep_heap_resident() -> bool:
+    """Set the allocator policy of the module docstring; False where there is no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD -1 and M_ARENA_MAX -8 in glibc's malloc.h.
+    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20) and mallopt(-8, 1))
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+@functools.cache
+def reserve_heap() -> None:
+    """Grow the heap once by a sixteenth, faulted in and left free (see the module docstring)."""
+    try:
+        libc = ctypes.CDLL(None)
+        info, malloc, free = libc.mallinfo2, libc.malloc, libc.free
+    except (AttributeError, OSError, TypeError):
+        return
+    if not keep_heap_resident():  # the blocks below must come from the heap, not from mmap
+        return
+    info.restype, malloc.restype, malloc.argtypes = _MallInfo2, ctypes.c_void_p, (ctypes.c_size_t,)
+    info.argtypes, free.argtypes = (), (ctypes.c_void_p,)
+    heap, blocks = info(), []
+    # 1 MiB blocks fill the free chunks first, then grow the heap; the bound
+    # covers every free byte plus the growth.
+    for _ in range((heap.fordblks + heap.arena // 16 >> 20) + 2):
+        if info().arena >= heap.arena + heap.arena // 16 or not (block := malloc(1 << 20)):
+            break
+        ctypes.memset(block, 0, 1 << 20)
+        blocks.append(block)
+    for block in blocks:
+        free(block)
 
 
 class Tensor:

@@ -14,29 +14,14 @@ BLAS mode; pin OMP_NUM_THREADS=1 (or the OpenBLAS equivalent) when that
 matters.  ``autodiff.worker_pool`` holds up to two threads, each pinned to
 a core of its own.  Evaluation forwards its ``EVAL_CHUNK``-sample chunks
 there, and a train step of 64 or more samples its two halves (see
-``model.train_step``); no output depends on the thread count.
-
-Allocator policy: on glibc, ``main`` sets three fixed ``mallopt`` values
-(no key, flag or variable); elsewhere it leaves the allocator alone.  By
-default glibc hands a train step's freed arrays back to the OS, and the
-next step page-faults them in again.  The mmap threshold (32 MiB) keeps
-the arrays on the heap and the trim threshold (512 MiB) keeps the heap
-from shrinking.  Both are set: any ``mallopt`` call freezes glibc's
-self-tuning thresholds where they stand, and either alone still faults.
-One arena (``M_ARENA_MAX``) makes the pool's threads reuse that
-resident heap instead of growing arenas of their own.  The two halves of
-a split train step allocate from it in an order that varies from step to
-step, so its peak creeps up by a few MiB over the first epochs, and each
-new peak faults pages in.  So after the first split step in the process,
-``reserve_heap`` grows the heap by a sixteenth, faulted in and left free
-at its top, where that creep lands.
+``model.train_step``); no output depends on the thread count.  ``main``
+first sets the allocator policy of ``autodiff.keep_heap_resident``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import functools
 import itertools
 import sys
@@ -63,7 +48,6 @@ from .data import (
 from .errors import CheckpointError, ConfigError, DataError, NonFiniteError, VqagptError
 from .metrics import compute_metrics, report_lines
 from .model import (
-    SPLIT_BATCH,
     feature_logits,
     init_params,
     load_checkpoint,
@@ -179,14 +163,18 @@ def _split_held_out(samples, k: int, what: str):
     )
 
 
+def _load_manifest(cfg: RunConfig, name: str, use: str):
+    """``<name>.jsonl`` under ``cfg.data_dir``; with no samples to ``use``, a data error."""
+    manifest = Path(cfg.data_dir) / f"{name}.jsonl"
+    dataset = load_dataset(manifest)
+    if not dataset.samples:
+        raise DataError(f"{manifest}: no samples to {use}")
+    return dataset
+
+
 def _load_split(cfg: RunConfig):
-    splits = []
-    for name, use in (("train", "train on"), ("test", "evaluate")):
-        manifest = Path(cfg.data_dir) / f"{name}.jsonl"
-        splits.append(load_dataset(manifest))
-        if not splits[-1].samples:
-            raise DataError(f"{manifest}: no samples to {use}")
-    train_ds, test_ds = splits
+    train_ds = _load_manifest(cfg, "train", "train on")
+    test_ds = _load_manifest(cfg, "test", "evaluate")
     if train_ds.label_map != test_ds.label_map:
         raise DataError("train and test label maps disagree")
     return train_ds, test_ds
@@ -228,8 +216,6 @@ class Run:
                 loss = train_step((feats[idx], qids[idx], labels[idx]), self.model, self.opt)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"epoch {self.epoch} step {step}: {exc}") from exc
-            if step == 1 and len(idx) >= SPLIT_BATCH:
-                reserve_heap()
             total += loss * len(idx)
         return total / len(perm)
 
@@ -317,10 +303,7 @@ def cmd_eval(args) -> int:
     if args.data:
         cfg = replace(cfg, data_dir=args.data)
     model = restore_model(model_cfg, tensors, _dtype_for(cfg))
-    manifest = Path(cfg.data_dir) / "test.jsonl"
-    test_ds = load_dataset(manifest)
-    if not test_ds.samples:
-        raise DataError(f"{manifest}: no samples to evaluate")
+    test_ds = _load_manifest(cfg, "test", "evaluate")
     if test_ds.label_map != ckpt_label_map:
         raise ConfigError("checkpoint label map does not match the dataset's labels.tsv")
     out_dir = Path(cfg.out_dir)
@@ -436,49 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def keep_heap_resident() -> bool:
-    """Set the allocator policy of the module docstring; False where there is no ``mallopt``."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD -1 and M_ARENA_MAX -8 in glibc's malloc.h.
-    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20) and mallopt(-8, 1))
-
-
-class _MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
-        "fordblks", "keepcost")]
-
-
-@functools.cache
-def reserve_heap() -> None:
-    """Grow the heap once by a sixteenth, faulted in and left free (see the module docstring)."""
-    try:
-        libc = ctypes.CDLL(None)
-        info, malloc, free = libc.mallinfo2, libc.malloc, libc.free
-    except (AttributeError, OSError, TypeError):
-        return
-    if not keep_heap_resident():  # the blocks below must come from the heap, not from mmap
-        return
-    info.restype, malloc.restype, malloc.argtypes = _MallInfo2, ctypes.c_void_p, (ctypes.c_size_t,)
-    info.argtypes, free.argtypes = (), (ctypes.c_void_p,)
-    heap, blocks = info(), []
-    # 1 MiB blocks fill the free chunks first, then grow the heap; the bound
-    # covers every free byte plus the growth.
-    for _ in range((heap.fordblks + heap.arena // 16 >> 20) + 2):
-        if info().arena >= heap.arena + heap.arena // 16 or not (block := malloc(1 << 20)):
-            break
-        ctypes.memset(block, 0, 1 << 20)
-        blocks.append(block)
-    for block in blocks:
-        free(block)
-
-
 def main(argv=None) -> int:
-    keep_heap_resident()
+    ad.keep_heap_resident()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -378,7 +378,7 @@ def load_dataset(manifest) -> VQADataset:
                 if key not in record:
                     raise DataError(f"{manifest}:{lineno}: missing field {key!r}")
             answer = record["answer"]
-            if answer not in label_map:
+            if not isinstance(answer, str) or answer not in label_map:
                 raise DataError(f"{manifest}:{lineno}: unknown class {answer!r}")
             question = record["question"]
             if not isinstance(question, str) or not _words(question):
@@ -388,7 +388,7 @@ def load_dataset(manifest) -> VQADataset:
             if not isinstance(template, int) or template < 0:
                 raise DataError(f"{manifest}:{lineno}: bad template index {template!r}")
             image_rel = record["image"]
-            if not (root / image_rel).exists():
+            if not isinstance(image_rel, str) or not (root / image_rel).exists():
                 raise DataError(f"{manifest}:{lineno}: image file missing: {image_rel}")
             samples.append(
                 VQASample(

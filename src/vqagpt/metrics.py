@@ -22,11 +22,7 @@ class TypeMetrics:
 
 
 @dataclass
-class MetricsReport:
-    n: int
-    acc: float
-    macro_recall: float
-    macro_fscore: float
+class MetricsReport(TypeMetrics):
     per_type: dict  # type tag -> TypeMetrics
     confusion: np.ndarray  # (C, C) counts, rows = true class, cols = predicted
 

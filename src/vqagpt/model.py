@@ -282,6 +282,8 @@ def _split_backward(features, question_ids, labels, model: VQAModel) -> ad.Tenso
 
     One cross-entropy over the joined logits keeps the loss bitwise; the
     second half's gradient goes to ``model.replica.grad`` and is added on.
+    The first split step in the process then reserves heap for the halves'
+    varying allocation order (``autodiff.reserve_heap``).
     """
     mid = (len(labels) + 1) // 2
     halves, models = (slice(0, mid), slice(mid, None)), (model, model.replica)
@@ -292,6 +294,7 @@ def _split_backward(features, question_ids, labels, model: VQAModel) -> ad.Tenso
     ad.backward(loss)
     ad.pool_map(lambda p, s: ad.backward(p, joined.grad[s]), parts, halves)
     model.grad += model.replica.grad
+    ad.reserve_heap()
     return loss
 
 

@@ -633,22 +633,25 @@ def test_exit_code_2_on_config_error(mini_corpus, tmp_path, capsys):
     assert not (tmp_path / "d").exists() and not (tmp_path / "out").exists()
 
 
-def test_exit_code_3_on_data_error(mini_corpus, tmp_path):
+def test_exit_code_3_on_data_error(mini_corpus, tmp_path, capsys):
     cfg = mini_run_config(tmp_path / "missing", tmp_path / "out")
     cfg_path = write_config(tmp_path / "c.cfg", cfg)
     assert main(["train", "--config", cfg_path]) == 3
     # early_vision pools the question positions, so a question that
-    # tokenizes to all padding must be stopped when the data loads
+    # tokenizes to all padding must be stopped when the data loads, as must
+    # an image path or an answer of the wrong JSON type
     data = tmp_path / "data"
     shutil.copytree(mini_corpus["root"], data)
     manifest = data / "train.jsonl"
     lines = manifest.read_text().splitlines()
-    record = json.loads(lines[0])
-    record["question"] = "?? !"
-    manifest.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
     cfg = mini_run_config(data, tmp_path / "out", order="early_vision")
     cfg_path = write_config(tmp_path / "c.cfg", cfg)
-    assert main(["train", "--config", cfg_path]) == 3
+    for key, value in (("question", "?? !"), ("image", 5), ("answer", ["red"])):
+        record = {**json.loads(lines[0]), key: value}
+        manifest.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path]) == 3, key
+        assert capsys.readouterr().err.startswith(f"error: {manifest}:1: "), key
 
 
 def test_eval_of_an_empty_test_split_exits_3_naming_the_manifest(trained_mini, tmp_path, capsys):
@@ -929,7 +932,7 @@ def desk_b64_step_faults(desk_corpus, tmp_path, epochs: int) -> list:
     The steps' halves and each epoch's evaluation passes run on two
     threads, which must have left the process one malloc arena.
     """
-    if not cli.keep_heap_resident():
+    if not ad.keep_heap_resident():
         pytest.skip("no glibc mallopt here, so the allocator policy does not apply")
     (tmp_path / "b64.cfg").write_text(f"batch_size = 64\nepochs = {epochs}\n")
     argv = ["train", "--profile", "desk", "--config", str(tmp_path / "b64.cfg"),

@@ -463,10 +463,11 @@ def test_train_step_is_the_one_part_step_below_64_and_agrees_to_the_last_bits_ab
     # it on, the loss still is, and the gradient differs only in the last
     # bits: each sum over the batch is now the sum of two half sums.
     rtol = 1e-6 if dtype == np.float32 else 1e-12
-    split_calls = []
+    split_calls, reserves = [], []
     real_split = model_module._split_backward
     monkeypatch.setattr(model_module, "_split_backward",
                         lambda *a: split_calls.append(len(a[2])) or real_split(*a))
+    monkeypatch.setattr(ad, "reserve_heap", lambda: reserves.append(n))
     assert model_module.SPLIT_BATCH == 64
     for n in (4, 16, 63, 64, 67):
         ref, got = split_model(case, dtype), split_model(case, dtype)
@@ -480,7 +481,7 @@ def test_train_step_is_the_one_part_step_below_64_and_agrees_to_the_last_bits_ab
             continue
         assert got.grad.tobytes() != ref.grad.tobytes(), n
         assert np.abs(got.grad - ref.grad).max() <= rtol * np.abs(ref.grad).max(), n
-    assert split_calls == [64, 67]
+    assert split_calls == reserves == [64, 67]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])

@@ -11,6 +11,9 @@ instead.
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -19,7 +22,8 @@ import vqagpt.model as model
 from conftest import mini_run_config
 from vqagpt.config import RunConfig, serialize_config
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -109,3 +113,19 @@ def test_the_wrapped_globals_see_every_step_then_two_passes_per_epoch(
         assert events == ((steps + passes) * epochs if epochs else passes)
         assert splits == [n for _, n in steps if n >= model.SPLIT_BATCH] * epochs
     assert steps == [("step", 64)] * 3 + [("step", 6)]
+
+
+def test_import_package_finds_its_nine_modules_in_a_fresh_process():
+    # perfbench/run.py imports vqagpt.cli alone and reads the other eight
+    # modules from sys.modules, so importing cli must load them all.  -B
+    # keeps the import from writing bytecode into perfbench/.
+    code = ("import json, run\n"
+            "pkg = run.import_package()\n"
+            "print(json.dumps({n: [m.__name__, m.__file__] for n, m in pkg.items()}))")
+    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=PERFBENCH, capture_output=True,
+                          text=True, check=True)
+    found = json.loads(proc.stdout.splitlines()[-1])
+    src = PERFBENCH.parent / "src" / "vqagpt"
+    assert found == {name: [f"vqagpt.{name}", str(src / f"{name}.py")] for name in (
+        "cli", "autodiff", "config", "data", "embedding", "kernels", "metrics", "model",
+        "tokenizers")}
