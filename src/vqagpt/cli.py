@@ -78,8 +78,8 @@ def _dtype_for(cfg: RunConfig):
     return np.float32 if cfg.precision == "f32" else np.float64
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
+def _resolve_config(args, cfg: RunConfig = RunConfig()) -> RunConfig:
+    """``cfg`` (the defaults unless given) with the command line's settings applied."""
     if getattr(args, "profile", None):
         cfg = apply_profile(cfg, args.profile)
     if getattr(args, "config", None):
@@ -290,18 +290,13 @@ def cmd_eval(args) -> int:
     config_text, vocab_lines, label_block, tensors = load_checkpoint(args.checkpoint)
     # Every config or model error here comes from the checkpoint's own blocks.
     try:
-        cfg = parse_config(config_text)
-        cfg.validate()
+        cfg = _resolve_config(args, parse_config(config_text))
         vocab = Vocabulary.from_lines(vocab_lines)
         ckpt_label_map = parse_label_lines(label_block, "label map block")
         model_cfg = cfg.to_model_config(vocab.size, len(ckpt_label_map))
         model_cfg.validate()
     except (ValueError, ConfigError, DataError) as exc:
         raise CheckpointError(f"corrupt checkpoint {args.checkpoint}: {exc}") from exc
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.data:
-        cfg = replace(cfg, data_dir=args.data)
     model = restore_model(model_cfg, tensors, _dtype_for(cfg))
     test_ds = _load_manifest(cfg, "test", "evaluate")
     if test_ds.label_map != ckpt_label_map:

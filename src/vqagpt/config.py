@@ -76,11 +76,6 @@ class ModelKeys:
         """Vision tokens per image: one per cell of the patch grid."""
         return self.patch_grid * self.patch_grid
 
-    @property
-    def seq_len_limit(self) -> int:
-        # Word positions draw on the pose table; vision adds g*g tokens.
-        return self.max_pos + self.n_tokens
-
 
 @dataclass(frozen=True)
 class ModelConfig(ModelKeys):

@@ -384,8 +384,10 @@ def load_dataset(manifest) -> VQADataset:
             if not isinstance(question, str) or not _words(question):
                 # A question with no words would tokenize to all padding.
                 raise DataError(f"{manifest}:{lineno}: question has no words: {question!r}")
-            template = record["template"]
-            if not isinstance(template, int) or template < 0:
+            qtype, template = record["type"], record["template"]
+            if not isinstance(qtype, str):
+                raise DataError(f"{manifest}:{lineno}: bad question type {qtype!r}")
+            if type(template) is not int or template < 0:  # JSON true is a bool, not an index
                 raise DataError(f"{manifest}:{lineno}: bad template index {template!r}")
             image_rel = record["image"]
             if not isinstance(image_rel, str) or not (root / image_rel).exists():
@@ -395,7 +397,7 @@ def load_dataset(manifest) -> VQADataset:
                     image_path=image_rel,
                     question=question,
                     answer_class=label_map[answer],
-                    question_type=str(record["type"]),
+                    question_type=qtype,
                     template_id=template,
                     scene=record.get("scene"),
                 )

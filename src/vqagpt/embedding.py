@@ -5,8 +5,10 @@ Every embedded token is the sum of at most three addends:
     word    e[i] = type_row(word)   + pos_row(i)        + word_table[ids[i]]
     vision  e[j] = type_row(vision) + pos_row(pose(j))   + v_x[j]
 
-where v_x is the raw vision token when its width already equals the model
-width, and an affine projection of it otherwise.  Vision pose indices are
+where v_x is the raw vision token, or its affine projection when the
+tables hold one (exactly when its width differs from the model width).
+Both segments get their (type + pose) addend from one helper, and differ
+only in their rows and their pose ids.  Vision pose indices are
 either all 0 ("zero" mode: one shared row, no order information) or
 1..m ("actual" mode, restarting at 1 regardless of where the vision
 segment sits in the sequence).  Word positions are always 0..n-1.
@@ -19,6 +21,11 @@ leaving a two-addend sum.
 The tables are the ``emb.*`` entries of a params dict: the model's
 ``params``, or the dict ``init_embedding_tables`` returns.  The embed
 functions take that dict and read the tables by name.
+
+The pose table has one size rule, ``RunConfig.validate``'s ``max_pos``
+check, made where a config enters; a pose id past the table still stops
+in ``embedding_lookup``.  Nothing caps the sequence length: the decoder
+has no position table of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ModelConfig
-from .errors import ConfigError
 
 WORD_TYPE = 0
 VISION_TYPE = 1
@@ -74,30 +80,21 @@ def init_embedding_tables(cfg: ModelConfig, rng: np.random.Generator, dtype) -> 
     return params
 
 
-def _type_row(params: dict, which: int) -> ad.Tensor:
-    return ad.embedding_lookup(params["emb.type"], np.asarray(which, dtype=np.int64))
-
-
-def _pos_rows(params: dict, ids: np.ndarray) -> ad.Tensor:
-    max_pos = params["emb.pos"].shape[0]
-    if ids.size and ids.max() >= max_pos:
-        raise ValueError(
-            f"position {int(ids.max())} overflows pose table of {max_pos} rows"
-        )
-    return ad.embedding_lookup(params["emb.pos"], ids)
+def _add_base(rows: ad.Tensor, params: dict, cfg: ModelConfig, modality: int,
+              pose_ids: np.ndarray) -> ad.Tensor:
+    """(type + pose) + rows, with the type addend dropped when the toggle is off."""
+    base = ad.embedding_lookup(params["emb.pos"], pose_ids)
+    if cfg.use_type_embedding:
+        type_row = ad.embedding_lookup(params["emb.type"], np.asarray(modality, dtype=np.int64))
+        base = ad.add(type_row, base)
+    return ad.add(base, rows)
 
 
 def embed_words(ids: np.ndarray, params: dict, cfg: ModelConfig) -> ad.Tensor:
     """Embed word ids (..., n) into (..., n, d) as the three-addend sum."""
     ids = np.asarray(ids)
-    n = ids.shape[-1]
     tok = ad.embedding_lookup(params["emb.word"], ids)
-    pose = _pos_rows(params, np.arange(n, dtype=np.int64))
-    if cfg.use_type_embedding:
-        base = ad.add(_type_row(params, WORD_TYPE), pose)
-    else:
-        base = pose
-    return ad.add(base, tok)
+    return _add_base(tok, params, cfg, WORD_TYPE, np.arange(ids.shape[-1], dtype=np.int64))
 
 
 def embed_vision(tokens: ad.Tensor, params: dict, cfg: ModelConfig) -> ad.Tensor:
@@ -108,27 +105,13 @@ def embed_vision(tokens: ad.Tensor, params: dict, cfg: ModelConfig) -> ad.Tensor
     question length.
     """
     m = tokens.shape[-2]
-    token_dim = tokens.shape[-1]
-    d = params["emb.pos"].shape[1]
-    if token_dim != d:
-        if "emb.proj_w" not in params:
-            raise ConfigError(
-                f"vision tokens of width {token_dim} need a projection to "
-                f"embedding width {d}, but none is configured"
-            )
-        v_x = ad.linear(tokens, params["emb.proj_w"], params["emb.proj_b"])
-    else:
-        v_x = tokens
+    if "emb.proj_w" in params:
+        tokens = ad.linear(tokens, params["emb.proj_w"], params["emb.proj_b"])
     if cfg.vision_pose_mode == "zero":
         pose_ids = np.zeros(m, dtype=np.int64)
     else:
         pose_ids = np.arange(1, m + 1, dtype=np.int64)
-    pose = _pos_rows(params, pose_ids)
-    if cfg.use_type_embedding:
-        base = ad.add(_type_row(params, VISION_TYPE), pose)
-    else:
-        base = pose
-    return ad.add(base, v_x)
+    return _add_base(tokens, params, cfg, VISION_TYPE, pose_ids)
 
 
 def sequence(words_e: ad.Tensor, vision_e: ad.Tensor, cfg: ModelConfig) -> TokenSequence:

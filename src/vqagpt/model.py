@@ -149,8 +149,6 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Ten
     if x.ndim != 3:
         raise ValueError(f"decoder_forward expects (B, L, d) rows, got shape {x.shape}")
     bsz, length, d = x.shape
-    if length > cfg.seq_len_limit:
-        raise ValueError(f"sequence length {length} exceeds limit {cfg.seq_len_limit}")
     mask = np.triu(np.full((length, length), MASK_VALUE, dtype=x.dtype), k=1)
     if key_pad is not None:
         key_pad = np.asarray(key_pad, dtype=bool)

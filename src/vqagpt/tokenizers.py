@@ -253,8 +253,8 @@ def encode_images(feats: np.ndarray, cfg: ModelConfig, params: dict) -> ad.Tenso
     feats = np.asarray(feats)
     if feats.shape[1:] != feature_shape(cfg):
         raise DataError(
-            f"expected image features (B, {', '.join(map(str, feature_shape(cfg)))}), "
-            f"got shape {feats.shape}; raw images go through image_features first"
+            f"expected image features of per-sample shape {feature_shape(cfg)}, got "
+            f"{feats.shape[1:]}; raw images go through image_features first"
         )
     g = cfg.patch_grid
     b = feats.shape[0]

@@ -639,14 +639,16 @@ def test_exit_code_3_on_data_error(mini_corpus, tmp_path, capsys):
     assert main(["train", "--config", cfg_path]) == 3
     # early_vision pools the question positions, so a question that
     # tokenizes to all padding must be stopped when the data loads, as must
-    # an image path or an answer of the wrong JSON type
+    # an image path, an answer, a question type or a template of the wrong
+    # JSON type
     data = tmp_path / "data"
     shutil.copytree(mini_corpus["root"], data)
     manifest = data / "train.jsonl"
     lines = manifest.read_text().splitlines()
     cfg = mini_run_config(data, tmp_path / "out", order="early_vision")
     cfg_path = write_config(tmp_path / "c.cfg", cfg)
-    for key, value in (("question", "?? !"), ("image", 5), ("answer", ["red"])):
+    for key, value in (("question", "?? !"), ("image", 5), ("answer", ["red"]), ("type", None),
+                       ("type", ["count"]), ("template", True)):
         record = {**json.loads(lines[0]), key: value}
         manifest.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
         capsys.readouterr()
@@ -709,7 +711,7 @@ def test_a_misshapen_half_of_a_batch_64_step_makes_train_exit_3(
     capsys.readouterr()
     assert main(["train", "--config", cfg_path]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(models) == 1 and len(err) == 1 and "got shape (32, " in err[0], err
+    assert len(models) == 1 and len(err) == 1 and "got (8, 8, 7); " in err[0], err
     assert not (out / CHECKPOINT_NAME).exists()
 
 

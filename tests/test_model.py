@@ -184,13 +184,17 @@ def test_all_zero_parameters_give_zero_output():
     assert np.all(logits == 0.0)
 
 
-def test_sequence_too_long_errors():
-    cfg = small_config(max_pos=4)  # limit = 4 + 4 vision slots = 8
+def test_decoder_runs_past_the_pose_rows_and_vision_slots():
+    # The decoder has no position table, so nothing caps the sequence length:
+    # 12 positions run on a model with 4 pose rows and 4 vision slots, and by
+    # causality the first 8 states are those of the 8-position prefix alone.
+    cfg = small_config(max_pos=4)
     m = init_params(cfg, seed=0, dtype=np.float64)
-    rng = np.random.default_rng(9)
-    decoder_forward(raw_sequence(rng, 8, cfg.d), m)
-    with pytest.raises(ValueError, match="exceeds"):
-        decoder_forward(raw_sequence(rng, 9, cfg.d), m)
+    seq = raw_sequence(np.random.default_rng(9), 12, cfg.d)
+    out = decoder_forward(seq, m).data
+    assert out.shape == (1, 12, cfg.d) and np.all(np.isfinite(out))
+    prefix = TokenSequence(embedded=Tensor(seq.embedded.data[:, :8]), modality=seq.modality[:8])
+    np.testing.assert_allclose(out[:, :8], decoder_forward(prefix, m).data, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +528,17 @@ def test_an_error_in_one_half_raises_the_one_part_error_and_changes_nothing(monk
         return type(info.value), str(info.value)
 
     # Features one column short, in both halves or in the replica's only: the
-    # one-part step's error class, its message naming the half's shape.
+    # one-part step's error, class and message, since the message names the
+    # per-sample shape and not the extent of a half.
     short = (feats[..., :-1], qids, labels)
-    assert raised(one_part_train_step, short)[0] is DataError
-    assert raised(train_step, short)[0] is DataError
+    expected = raised(one_part_train_step, short)
+    assert expected[0] is DataError and "got (8, 8, 7); " in expected[1]
+    assert raised(train_step, short) == expected
     real_logits = model_module.feature_logits
     with monkeypatch.context() as mp:
         mp.setattr(model_module, "feature_logits", lambda f, q, mdl: real_logits(
             f[..., :-1] if mdl is m.replica else f, q, mdl))
-        error, message = raised(train_step, (feats, qids, labels))
-    assert error is DataError and "got shape (33, " in message
+        assert raised(train_step, (feats, qids, labels)) == expected
     assert (m.flat.tobytes(), adam_bytes(opt)) == before
 
     # A NaN in the last sample: the loss is NaN, as the one-part step says.
