@@ -24,23 +24,14 @@ Allocator policy, on glibc only, with fixed values (no key, flag or
 variable): ``keep_heap_resident`` sets the mmap threshold (32 MiB) and the
 trim threshold (512 MiB), so a train step's freed arrays stay on a heap
 that does not shrink and the next step faults no pages.  Both are needed,
-since any ``mallopt`` call freezes glibc's self-tuning thresholds.  One
-arena (``M_ARENA_MAX``) keeps the pool's threads on that resident heap.
-The halves of a split train step allocate from it in an order that varies
-from step to step, so its peak creeps up over the first epochs; after the
-first split step, ``reserve_heap`` grows it once by a sixteenth, left free
-at its top, where that creep lands.
+since any ``mallopt`` call freezes glibc's self-tuning thresholds.  Each
+process allocates from one thread, in the same order every step.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import functools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,52 +42,18 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
-class _Recording(threading.local):
-    """Graph recording is on in every thread until ``no_grad`` turns it off there."""
-
-    on = True
-
-
-_RECORDING = _Recording()
-
-
 class no_grad:
-    """Context manager that disables graph recording in the calling thread (for eval loops)."""
+    """Context manager that disables graph recording (for eval loops)."""
+
+    recording = True  # whether ops record graph nodes, outside every no_grad
 
     def __enter__(self):
-        self._prev = _RECORDING.on
-        _RECORDING.on = False
+        self._prev, no_grad.recording = no_grad.recording, False
         return self
 
     def __exit__(self, *exc):
-        _RECORDING.on = self._prev
+        no_grad.recording = self._prev
         return False
-
-
-@functools.cache
-def worker_pool() -> ThreadPoolExecutor:
-    """Threads for eval chunks and train-step halves, made on first use: one per core, at most two.
-
-    Each is pinned to its core where the OS allows it: unpinned, two threads
-    taking turns on the GIL could be left on one core for passes on end.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return ThreadPoolExecutor(min(2, os.cpu_count() or 1))
-    cores = sorted(os.sched_getaffinity(0))[:2]
-    return ThreadPoolExecutor(len(cores), initializer=_pin_thread, initargs=(cores,))
-
-
-def _pin_thread(cores: list) -> None:
-    """Pin the calling thread to a core it takes from ``cores``; unpinned if that core is gone."""
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, {cores.pop()})
-
-
-def pool_map(fn, *iterables) -> list:
-    """``fn`` over zipped ``iterables`` on the pool, in order; all calls end before any raises."""
-    futures = [worker_pool().submit(fn, *args) for args in zip(*iterables)]
-    wait(futures)
-    return [f.result() for f in futures]
 
 
 def keep_heap_resident() -> bool:
@@ -106,38 +63,8 @@ def keep_heap_resident() -> bool:
     except (AttributeError, OSError, TypeError):
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD -1 and M_ARENA_MAX -8 in glibc's malloc.h.
-    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20) and mallopt(-8, 1))
-
-
-class _MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
-        "fordblks", "keepcost")]
-
-
-@functools.cache
-def reserve_heap() -> None:
-    """Grow the heap once by a sixteenth, faulted in and left free (see the module docstring)."""
-    try:
-        libc = ctypes.CDLL(None)
-        info, malloc, free = libc.mallinfo2, libc.malloc, libc.free
-    except (AttributeError, OSError, TypeError):
-        return
-    if not keep_heap_resident():  # the blocks below must come from the heap, not from mmap
-        return
-    info.restype, malloc.restype, malloc.argtypes = _MallInfo2, ctypes.c_void_p, (ctypes.c_size_t,)
-    info.argtypes, free.argtypes = (), (ctypes.c_void_p,)
-    heap, blocks = info(), []
-    # 1 MiB blocks fill the free chunks first, then grow the heap; the bound
-    # covers every free byte plus the growth.
-    for _ in range((heap.fordblks + heap.arena // 16 >> 20) + 2):
-        if info().arena >= heap.arena + heap.arena // 16 or not (block := malloc(1 << 20)):
-            break
-        ctypes.memset(block, 0, 1 << 20)
-        blocks.append(block)
-    for block in blocks:
-        free(block)
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h.
+    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20))
 
 
 class Tensor:
@@ -195,7 +122,7 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
 def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _RECORDING.on:
+    if no_grad.recording:
         grad_parents = tuple(p for p in parents if p.requires_grad)
         if grad_parents:
             out.requires_grad = True

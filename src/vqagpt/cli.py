@@ -11,18 +11,19 @@ also exit 2).
 
 Determinism note: runs are reproducible bit-for-bit only in single-threaded
 BLAS mode; pin OMP_NUM_THREADS=1 (or the OpenBLAS equivalent) when that
-matters.  ``autodiff.worker_pool`` holds up to two threads, each pinned to
-a core of its own.  Evaluation forwards its ``EVAL_CHUNK``-sample chunks
-there, and a train step of 64 or more samples its two halves (see
-``model.train_step``); no output depends on the thread count.  ``main``
+matters.  Each ``Run``, and each ``eval`` command, forks one
+``model.Peer`` once its model and prepared arrays exist.  The peer forwards
+the later ``EVAL_CHUNK``-sample chunks of an evaluation pass, and the
+second half of a train step of 64 or more samples (see
+``model.train_step``); no output depends on whether it runs.  ``main``
 first sets the allocator policy of ``autodiff.keep_heap_resident``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import functools
 import itertools
 import sys
 from dataclasses import replace
@@ -48,7 +49,7 @@ from .data import (
 from .errors import CheckpointError, ConfigError, DataError, NonFiniteError, VqagptError
 from .metrics import compute_metrics, report_lines
 from .model import (
-    feature_logits,
+    Peer,
     init_params,
     load_checkpoint,
     restore_model,
@@ -126,23 +127,24 @@ def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
     return feats, qids, labels, types
 
 
-def _chunk_logits(model, feats, qids, lo: int) -> np.ndarray:
-    """Logits of the ``EVAL_CHUNK`` samples from ``lo``; this thread records no graph."""
-    with ad.no_grad():
-        return feature_logits(feats[lo : lo + EVAL_CHUNK], qids[lo : lo + EVAL_CHUNK], model).data
-
-
 def _evaluate_arrays(model, cfg: RunConfig, feats, qids, labels, types):
     """Mean loss + MetricsReport over the arrays, no grad recorded.
 
     The forward passes run in ``EVAL_CHUNK``-sample chunks, not at
-    ``cfg.batch_size``, spread over ``autodiff.worker_pool`` and joined in
-    chunk order.  The loss is taken once over all logits, so as long as a
+    ``cfg.batch_size``, and are joined in chunk order.  When ``model.peer``
+    holds ``feats``, it forwards the whole chunks in the first half of the
+    samples.  The loss is taken once over all logits, so as long as a
     sample's logits do not depend on the other samples in its chunk, the
-    result depends neither on the chunk size nor on the thread count.
+    result depends neither on the chunk size nor on the peer.
     """
-    chunk_logits = functools.partial(_chunk_logits, model, feats, qids)
-    logits = np.concatenate(ad.pool_map(chunk_logits, range(0, len(labels), EVAL_CHUNK)))
+    peer = model.peer
+    k = next((k for k, pair in enumerate(peer.arrays) if pair[0] is feats), None) if peer else None
+    if k is None:
+        peer, k = Peer(model, [(feats, qids)], fork=False), 0
+    chunks = [slice(lo, lo + EVAL_CHUNK) for lo in range(0, len(labels), EVAL_CHUNK)]
+    theirs = len(labels) // (2 * EVAL_CHUNK)
+    mine, first = peer.both(lambda: peer.logits(k, chunks[theirs:]), "logits", k, chunks[:theirs])
+    logits = np.concatenate(first + mine)
     loss = ad.cross_entropy(ad.Tensor(logits), labels)
     preds = np.argmax(logits, axis=-1)
     report = compute_metrics(preds, labels, types, n_classes=model.config.num_classes)
@@ -180,11 +182,12 @@ def _load_split(cfg: RunConfig):
     return train_ds, test_ds
 
 
-class Run:
+class Run(contextlib.AbstractContextManager):
     """One training run: model, Adam state, shuffle RNG, vocabulary, the
-    prepared splits and the count of epochs trained.  ``perfbench/run.py``
-    times it by rebinding ``train_step`` and ``_evaluate_arrays``, so it
-    calls them through this module's globals.
+    prepared splits, the count of epochs trained, and the model's peer,
+    which ``with Run(...) as run`` ends.  ``perfbench/run.py`` times it by
+    rebinding ``train_step`` and ``_evaluate_arrays``, so it calls them
+    through this module's globals.
     """
 
     def __init__(self, cfg: RunConfig, train_ds, test_ds):
@@ -203,6 +206,10 @@ class Run:
         self.test_split = _prepare_arrays(cfg, self.vocab, test_ds, test_ds.samples)
         self.shuffle_rng = np.random.Generator(np.random.PCG64([cfg.seed, 1]))
         self.epoch = 0
+        self.peer = Peer(self.model, [self.train_split[:2], self.test_split[:2]])
+
+    def __exit__(self, *exc) -> None:
+        self.peer.close()
 
     def train_epoch(self) -> float:
         """Train one shuffled epoch; returns its sample-weighted mean loss."""
@@ -213,7 +220,7 @@ class Run:
         for step, lo in enumerate(range(0, len(perm), self.cfg.batch_size), start=1):
             idx = perm[lo : lo + self.cfg.batch_size]
             try:
-                loss = train_step((feats[idx], qids[idx], labels[idx]), self.model, self.opt)
+                loss = train_step((feats[idx], qids[idx], labels[idx], idx), self.model, self.opt)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"epoch {self.epoch} step {step}: {exc}") from exc
             total += loss * len(idx)
@@ -250,18 +257,18 @@ def cmd_train(args) -> int:
     train_ds, test_ds = _load_split(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run = Run(cfg, train_ds, test_ds)
-    rows = []
-    # epochs = 0 still makes one row: the initial model, its train loss evaluated.
-    for _ in range(max(cfg.epochs, 1)):
-        running_loss = run.train_epoch() if cfg.epochs else None
-        tr_loss, tr_rep = run.evaluate(run.train_split)
-        va_loss, va_rep = run.evaluate(run.test_split)
-        train_loss = tr_loss if running_loss is None else running_loss
-        tr_scores, va_scores = _score_rows(tr_rep)[0][2:], _score_rows(va_rep)[0][2:]
-        rows.append([run.epoch, repr(train_loss), *tr_scores, repr(va_loss), *va_scores])
-        print(f"epoch {run.epoch}/{cfg.epochs}  train_loss={train_loss:.6f}"
-              f"  train_acc={tr_scores[0]}  val_acc={va_scores[0]}")
+    with Run(cfg, train_ds, test_ds) as run:
+        rows = []
+        # epochs = 0 still makes one row: the initial model, its train loss evaluated.
+        for _ in range(max(cfg.epochs, 1)):
+            running_loss = run.train_epoch() if cfg.epochs else None
+            tr_loss, tr_rep = run.evaluate(run.train_split)
+            va_loss, va_rep = run.evaluate(run.test_split)
+            train_loss = tr_loss if running_loss is None else running_loss
+            tr_scores, va_scores = _score_rows(tr_rep)[0][2:], _score_rows(va_rep)[0][2:]
+            rows.append([run.epoch, repr(train_loss), *tr_scores, repr(va_loss), *va_scores])
+            print(f"epoch {run.epoch}/{cfg.epochs}  train_loss={train_loss:.6f}"
+                  f"  train_acc={tr_scores[0]}  val_acc={va_scores[0]}")
     _write_csv(out_dir / METRICS_CSV, METRICS_HEADER, rows)
     save_checkpoint(
         out_dir / CHECKPOINT_NAME,
@@ -305,16 +312,16 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_rows = []
     block_reports = {}
-    for block, samples in _eval_blocks(test_ds, args.rephrased):
-        if not samples:
-            continue
-        arrays = _prepare_arrays(cfg, vocab, test_ds, samples)
-        loss, report = _evaluate_arrays(model, cfg, *arrays)
-        block_reports[block] = report
-        for line in report_lines(report, title=block):
-            print(line)
-        print(f"  loss={loss:.6f}")
-        csv_rows.extend([block] + row for row in _score_rows(report))
+    blocks = [(block, _prepare_arrays(cfg, vocab, test_ds, samples))
+              for block, samples in _eval_blocks(test_ds, args.rephrased) if samples]
+    with Peer(model, [arrays[:2] for _, arrays in blocks]):
+        for block, arrays in blocks:
+            loss, report = _evaluate_arrays(model, cfg, *arrays)
+            block_reports[block] = report
+            for line in report_lines(report, title=block):
+                print(line)
+            print(f"  loss={loss:.6f}")
+            csv_rows.extend([block] + row for row in _score_rows(report))
     if args.rephrased and "default_templates" in block_reports and "rephrased" in block_reports:
         delta = block_reports["default_templates"].acc - block_reports["rephrased"].acc
         print(f"rephrased degradation (default acc - rephrased acc): {delta:+.4f}")
@@ -340,10 +347,10 @@ def cmd_ablate(args) -> int:
         label = "/".join(cell)
         print(f"[ablate] training cell {label}")
         try:
-            run = Run(cell_cfg, train_ds, test_ds)
-            for _ in range(cfg.epochs):
-                run.train_epoch()
-            report = run.evaluate(run.test_split)[1]
+            with Run(cell_cfg, train_ds, test_ds) as run:
+                for _ in range(cfg.epochs):
+                    run.train_epoch()
+                report = run.evaluate(run.test_split)[1]
         except Exception as exc:  # keep remaining cells running
             rows.append([*cell, cfg.use_type_embedding, "overall", "", "", "", "",
                          f"error: {exc}"])

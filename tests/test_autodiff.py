@@ -6,7 +6,6 @@ entries compare absolutely.
 """
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -380,37 +379,6 @@ def test_no_grad_disables_graph():
         y = ad.sum_(ad.mul(x, x))
     assert not y.requires_grad
     assert y._parents == ()
-
-
-def test_no_grad_holds_only_in_the_thread_that_entered_it():
-    # While one thread sits inside no_grad, an op in another thread still
-    # records a tape node, and the other way round.
-    x = t(np.ones(3))
-    entered, leave, inside = threading.Event(), threading.Event(), []
-
-    def sit_in_no_grad():
-        with ad.no_grad():
-            entered.set()
-            leave.wait(10)
-            inside.append(ad.add(x, x))
-
-    worker = threading.Thread(target=sit_in_no_grad)
-    worker.start()
-    assert entered.wait(10)
-    outside = ad.add(x, x)
-    leave.set()
-    worker.join(10)
-    assert not worker.is_alive()
-    assert outside._backward is not None and inside[0]._backward is None
-
-    recorded = []
-    with ad.no_grad():
-        worker = threading.Thread(target=lambda: recorded.append(ad.add(x, x)))
-        worker.start()
-        worker.join(10)
-        unrecorded = ad.add(x, x)
-    assert not worker.is_alive()
-    assert recorded[0]._backward is not None and unrecorded._backward is None
 
 
 def test_unbroadcast_shapes():

@@ -6,8 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -279,10 +278,11 @@ def test_two_runs_from_one_config_agree_bitwise(mini_corpus):
     # state shared between them would show as a difference.
     cfg = mini_run_config(mini_corpus["root"], "unused")
     train_ds, test_ds = cli._load_split(cfg)
-    a, b = cli.Run(cfg, train_ds, test_ds), cli.Run(cfg, train_ds, test_ds)
-    fresh_rng = a.shuffle_rng.bit_generator.state
-    for _ in range(2):
-        assert a.train_epoch() == b.train_epoch()
+    with cli.Run(cfg, train_ds, test_ds) as a, cli.Run(cfg, train_ds, test_ds) as b:
+        fresh_rng = a.shuffle_rng.bit_generator.state
+        for _ in range(2):
+            assert a.train_epoch() == b.train_epoch()
+    assert_no_child_process()
     assert a.epoch == b.epoch == 2
     assert a.opt.step == b.opt.step == 2 * -(-len(a.train_split[2]) // cfg.batch_size)
     for x, y in ((a.model.flat, b.model.flat), (a.opt.m, b.opt.m), (a.opt.v, b.opt.v)):
@@ -362,9 +362,9 @@ def test_evaluation_is_bitwise_the_same_on_any_number_of_threads(
 ):
     # The 198 train samples end in a partial chunk (3 x 64 + 6).  Both a
     # cnn_lite / early_word and a vit_lite / early_vision model must give the
-    # same loss, reports and logits bytes whichever pool runs the chunks.
-    # Four workers with a short switch interval stress the threads' sharing
-    # of the model and the arrays.
+    # same loss, reports and logits bytes with no peer, with a peer that
+    # holds other arrays (so the chunks all run here), and with a peer that
+    # holds these and forwards the later chunks in its own process.
     config_text, vocab_lines, label_lines, tensors = load_checkpoint(
         trained_mini["out"] / CHECKPOINT_NAME
     )
@@ -385,17 +385,11 @@ def test_evaluation_is_bitwise_the_same_on_any_number_of_threads(
     monkeypatch.setattr(ad, "cross_entropy", keep_logits)
     for model, run_cfg in ((trained, cfg), (vit, vit_cfg)):
         arrays = cli._prepare_arrays(run_cfg, vocab, ds, ds.samples)
-        results = []
-        for workers, switch in ((1, None), (2, None), (4, 1e-5)):
-            interval = sys.getswitchinterval()
-            try:
-                if switch:
-                    sys.setswitchinterval(switch)
-                with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(ad, "worker_pool", lambda: pool)
-                    results.append(cli._evaluate_arrays(model, run_cfg, *arrays))
-            finally:
-                sys.setswitchinterval(interval)
+        results = [cli._evaluate_arrays(model, run_cfg, *arrays)]
+        for held in (arrays[:2], (arrays[0].copy(), arrays[1])):
+            with model_module.Peer(model, [held]) as peer:
+                results.append(cli._evaluate_arrays(model, run_cfg, *arrays))
+                assert peer.pid != 0
         loss_1, rep_1 = results[0]
         logits_1 = logits_seen[-3]
         assert logits_1.shape == (len(ds.samples), len(label_lines))
@@ -411,17 +405,18 @@ def test_evaluation_is_bitwise_the_same_on_any_number_of_threads(
 def test_a_misshapen_chunk_raises_the_serial_data_error_on_any_pool(
     trained_mini, mini_corpus, monkeypatch, tmp_path
 ):
-    # The partial last chunk gets features one column short; the worker's
-    # DataError reaches the caller as the serial path would raise it, and
-    # `eval` exits 3 through main.
-    real = cli.feature_logits
+    # The partial last chunk, which the peer forwards, gets features one
+    # column short; its DataError reaches the caller as the serial path
+    # would raise it, with the peer and without it, and `eval` exits 3
+    # through main.
+    real = model_module.feature_logits
 
     def short_partial_chunk(feats, qids, model):
         if len(feats) < cli.EVAL_CHUNK:
             feats = feats[..., :-1]
         return real(feats, qids, model)
 
-    monkeypatch.setattr(cli, "feature_logits", short_partial_chunk)
+    monkeypatch.setattr(model_module, "feature_logits", short_partial_chunk)
     config_text, vocab_lines, label_lines, tensors = load_checkpoint(
         trained_mini["out"] / CHECKPOINT_NAME
     )
@@ -434,45 +429,48 @@ def test_a_misshapen_chunk_raises_the_serial_data_error_on_any_pool(
         with ad.no_grad():
             short_partial_chunk(arrays[0][tail:], arrays[1][tail:], model)
     assert len(mini_corpus["test"].samples) % cli.EVAL_CHUNK != 0
-    for workers in (1, 2):
-        with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(ad, "worker_pool", lambda: pool)
+    for fork in (False, True):
+        with model_module.Peer(model, [arrays[:2]], fork=fork):
             with pytest.raises(DataError) as pooled:
                 cli._evaluate_arrays(model, cfg, *arrays)
             assert str(pooled.value) == str(serial.value)
-            assert main([
-                "eval", "--checkpoint", str(trained_mini["out"] / CHECKPOINT_NAME),
-                "--data", str(trained_mini["data"]), "--out", str(tmp_path / f"o{workers}"),
-            ]) == 3
+        assert main([
+            "eval", "--checkpoint", str(trained_mini["out"] / CHECKPOINT_NAME),
+            "--data", str(trained_mini["data"]), "--out", str(tmp_path / f"o{fork}"),
+        ]) == 3
+    assert_no_child_process()
+
+
+def peer_affinity(trained_mini, mini_corpus) -> set:
+    """The cores a fresh peer of the mini run's model may run on, read after a round trip."""
+    config_text, vocab_lines, label_lines, tensors = load_checkpoint(
+        trained_mini["out"] / CHECKPOINT_NAME
+    )
+    cfg = parse_config(config_text)
+    model = restore_model(cfg.to_model_config(len(vocab_lines), len(label_lines)), tensors)
+    ds = mini_corpus["test"]
+    arrays = cli._prepare_arrays(cfg, Vocabulary.from_lines(vocab_lines), ds, ds.samples)
+    with model_module.Peer(model, [arrays[:2]]) as peer:
+        peer.both(lambda: None, "logits", 0, [slice(0, 1)])
+        return os.sched_getaffinity(peer.pid)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity here")
-def test_each_evaluation_thread_is_pinned_to_a_core_of_its_own():
-    # Unpinned, the scheduler can wake both threads on the submitting core
-    # and keep them there for passes on end: they take turns on the GIL, so
-    # that core never looks overloaded.  The calling thread stays unpinned.
+def test_the_peer_is_pinned_to_a_core_of_its_own(trained_mini, mini_corpus):
+    # Unpinned, the scheduler could run the peer on the caller's core for
+    # passes on end.  The caller stays unpinned.
     usable = os.sched_getaffinity(0)
-    n = min(2, len(usable))
-    all_in = threading.Barrier(n)
-
-    def affinity(_):
-        all_in.wait(timeout=30)  # holds each task until n threads run one
-        return frozenset(os.sched_getaffinity(0))
-
-    with ad.worker_pool.__wrapped__() as pool:
-        seen = set(pool.map(affinity, range(n)))
-    assert seen == {frozenset({core}) for core in sorted(usable)[:n]}
+    assert peer_affinity(trained_mini, mini_corpus) == {max(usable)}
     assert os.sched_getaffinity(0) == usable
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity here")
-def test_an_evaluation_thread_whose_core_is_gone_runs_unpinned():
-    # A core can leave the process's set between the pool's making and a
-    # thread's start; the thread must still run chunks, on any core.
+def test_a_peer_whose_core_is_gone_runs_unpinned(trained_mini, mini_corpus, monkeypatch):
+    # A core can leave the process's set between the fork and the peer's
+    # pinning; the peer must still serve, on any core.
     usable = os.sched_getaffinity(0)
-    gone = max(usable) + 4096
-    with ThreadPoolExecutor(1, initializer=ad._pin_thread, initargs=([gone],)) as pool:
-        assert pool.submit(os.sched_getaffinity, 0).result() == usable
+    monkeypatch.setattr(model_module, "_peer_core", lambda: max(usable) + 4096)
+    assert peer_affinity(trained_mini, mini_corpus) == usable
 
 
 def test_forward_logits_on_raw_images_match_the_feature_path(trained_mini, mini_corpus):
@@ -692,27 +690,24 @@ def test_train_on_an_empty_split_exits_3_naming_the_manifest_before_making_anyth
 def test_a_misshapen_half_of_a_batch_64_step_makes_train_exit_3(
     mini_corpus, tmp_path, capsys, monkeypatch
 ):
-    # The replica's half gets features one column short; its DataError
-    # leaves the pool and reaches main as the one-part step's would.
-    models, real_step, real_logits = [], cli.train_step, model_module.feature_logits
+    # The peer's half gets features one column short; its DataError crosses
+    # the pipe and reaches main as the one-part step's would, and the peer
+    # is reaped.
+    parent, real_logits = os.getpid(), model_module.feature_logits
 
-    def step(batch, model, opt):
-        models.append(model)
-        return real_step(batch, model, opt)
+    def short_in_the_peer(feats, qids, model):
+        return real_logits(feats[..., :-1] if os.getpid() != parent else feats, qids, model)
 
-    def short_in_the_replica(feats, qids, model):
-        return real_logits(feats[..., :-1] if model is not models[-1] else feats, qids, model)
-
-    monkeypatch.setattr(cli, "train_step", step)
-    monkeypatch.setattr(model_module, "feature_logits", short_in_the_replica)
+    monkeypatch.setattr(model_module, "feature_logits", short_in_the_peer)
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path / "c.cfg",
                             mini_run_config(mini_corpus["root"], out, batch_size=64))
     capsys.readouterr()
     assert main(["train", "--config", cfg_path]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(models) == 1 and len(err) == 1 and "got (8, 8, 7); " in err[0], err
+    assert len(err) == 1 and err[0].startswith("error: ") and "got (8, 8, 7); " in err[0], err
     assert not (out / CHECKPOINT_NAME).exists()
+    assert_no_child_process()
 
 
 def test_exit_code_3_on_unsatisfiable_generator(tmp_path):
@@ -855,6 +850,74 @@ def test_exit_code_5_on_non_finite_gradient(mini_corpus, tmp_path, capsys, monke
     assert not (out / CHECKPOINT_NAME).exists()
 
 
+def assert_no_child_process():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_process_outlives_a_command(trained_mini, mini_corpus, tmp_path, monkeypatch):
+    # A batch-64 train, one whose third step meets a non-finite loss
+    # (exit 5), and an eval: each reaps the peer it forked.  The exit-3
+    # train is test_a_misshapen_half_of_a_batch_64_step_makes_train_exit_3.
+    cfg = mini_run_config(mini_corpus["root"], tmp_path / "out", batch_size=64)
+    cfg_path = write_config(tmp_path / "c.cfg", cfg)
+    assert main(["train", "--config", cfg_path]) == 0
+    assert_no_child_process()
+    assert main(["eval", "--checkpoint", str(tmp_path / "out" / CHECKPOINT_NAME),
+                 "--data", str(mini_corpus["root"]), "--out", str(tmp_path / "eval")]) == 0
+    assert_no_child_process()
+    real, steps = ad.cross_entropy, []
+
+    def nan_loss(logits, labels):
+        loss = real(logits, labels)
+        if loss._backward is not None:  # a train step's, not an evaluation pass's
+            steps.append(loss)
+            if len(steps) == 3:
+                loss.data = np.full_like(loss.data, np.nan)
+        return loss
+
+    monkeypatch.setattr(ad, "cross_entropy", nan_loss)
+    assert main(["train", "--config", cfg_path]) == 5
+    assert len(steps) == 3
+    assert_no_child_process()
+
+
+def test_the_peer_exits_when_its_parent_is_killed(mini_corpus, tmp_path):
+    # SIGKILL leaves the parent no chance to close the pipe; the peer sees
+    # EOF on it and exits.  The peer then is a zombie or gone.
+    if not Path(f"/proc/{os.getpid()}/stat").exists():
+        pytest.skip("no /proc here to read the peer's state from")
+    code = (
+        "import sys, vqagpt.cli as cli, vqagpt.model as model\n"
+        "real = model.Peer.__init__\n"
+        "def init(self, *args, **kwargs):\n"
+        "    real(self, *args, **kwargs)\n"
+        "    print(self.pid, flush=True)\n"
+        "model.Peer.__init__ = init\n"
+        "cli.main(sys.argv[1:])\n"
+    )
+    cfg = mini_run_config(mini_corpus["root"], tmp_path / "out", batch_size=64, epochs=1000)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "train", "--config", write_config(tmp_path / "c.cfg", cfg)],
+        env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        peer = int(proc.stdout.readline())
+        time.sleep(0.5)  # some batch-64 steps in
+        assert proc.poll() is None
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    stat = Path(f"/proc/{peer}/stat")
+    deadline = time.monotonic() + 5
+    while stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] != "Z":
+        assert time.monotonic() < deadline, "the peer outlived its parent by 5 s"
+        time.sleep(0.05)
+
+
 def test_exit_code_2_on_label_map_mismatch(trained_mini, tmp_path):
     # a grid-1 corpus has 8 answer classes, the checkpoint was trained on 11
     other = tmp_path / "grid1"
@@ -895,17 +958,14 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 
 # Batch-64 desk epochs in a fresh process, whose heap has only its own
 # history; prints the page faults of each train step and the number of
-# malloc arenas (glibc's malloc_info lists one <heap> each).  Evaluation
-# and the two halves of each batch-64 step run on a two-thread pool,
-# whatever the machine's core count.
+# malloc arenas (glibc's malloc_info lists one <heap> each).  The peer
+# forwards the later chunks of each evaluation pass and back-propagates the
+# second half of each batch-64 step, whatever the machine's core count.
 COUNT_STEP_FAULTS = """
 import ctypes, json, resource, sys
-from concurrent.futures import ThreadPoolExecutor
-import vqagpt.autodiff as ad
 import vqagpt.cli as cli
 
 faults, step = [], cli.train_step
-pool = ThreadPoolExecutor(2)
 
 def counting(*args):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -914,7 +974,6 @@ def counting(*args):
     return loss
 
 cli.train_step = counting
-ad.worker_pool = lambda: pool
 code = cli.main(sys.argv[1:])
 libc, buf, size = ctypes.CDLL(None), ctypes.c_char_p(), ctypes.c_size_t()
 libc.open_memstream.restype = ctypes.c_void_p
@@ -931,8 +990,8 @@ print(json.dumps([code, faults, arenas]))
 def desk_b64_step_faults(desk_corpus, tmp_path, epochs: int) -> list:
     """Page faults of each step of an ``epochs``-epoch batch-64 desk ``train``.
 
-    The steps' halves and each epoch's evaluation passes run on two
-    threads, which must have left the process one malloc arena.
+    Half of each step and of each epoch's evaluation passes runs on the
+    peer; the process itself allocates from one thread, so one malloc arena.
     """
     if not ad.keep_heap_resident():
         pytest.skip("no glibc mallopt here, so the allocator policy does not apply")
@@ -958,6 +1017,6 @@ def test_steady_desk_b64_train_steps_fault_no_pages(desk_corpus, tmp_path):
 
 def test_desk_b64_train_steps_after_a_two_thread_eval_pass_fault_no_pages(desk_corpus, tmp_path):
     # The second epoch's steps follow the first epoch's evaluation passes,
-    # whose worker threads allocate from the same resident arena.
+    # which allocate from the same resident arena.
     faults = desk_b64_step_faults(desk_corpus, tmp_path, epochs=2)
     assert sum(faults[-10:]) < 10 * 10, faults

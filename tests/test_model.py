@@ -1,7 +1,8 @@
 """Decoder stack, classification head, train step, and checkpoint format."""
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from vqagpt.config import ModelConfig, RunConfig, apply_profile
 from vqagpt.embedding import VISION_TYPE, WORD_TYPE, TokenSequence
 from vqagpt.errors import CheckpointError, ConfigError, DataError, NonFiniteError
 from vqagpt.model import (
+    Peer,
     VQAModel,
     build_sequence,
     classify,
@@ -467,11 +469,10 @@ def test_train_step_is_the_one_part_step_below_64_and_agrees_to_the_last_bits_ab
     # it on, the loss still is, and the gradient differs only in the last
     # bits: each sum over the batch is now the sum of two half sums.
     rtol = 1e-6 if dtype == np.float32 else 1e-12
-    split_calls, reserves = [], []
+    split_calls = []
     real_split = model_module._split_backward
     monkeypatch.setattr(model_module, "_split_backward",
                         lambda *a: split_calls.append(len(a[2])) or real_split(*a))
-    monkeypatch.setattr(ad, "reserve_heap", lambda: reserves.append(n))
     assert model_module.SPLIT_BATCH == 64
     for n in (4, 16, 63, 64, 67):
         ref, got = split_model(case, dtype), split_model(case, dtype)
@@ -485,92 +486,136 @@ def test_train_step_is_the_one_part_step_below_64_and_agrees_to_the_last_bits_ab
             continue
         assert got.grad.tobytes() != ref.grad.tobytes(), n
         assert np.abs(got.grad - ref.grad).max() <= rtol * np.abs(ref.grad).max(), n
-    assert split_calls == reserves == [64, 67]
+    assert split_calls == [64, 67]
+
+
+def pooled(*batches):
+    """One (features, question ids, labels) triple of ``batches``, and each one's rows in it."""
+    bounds = np.cumsum([0] + [len(b[2]) for b in batches])
+    pair = tuple(np.concatenate(parts) for parts in zip(*batches))
+    return pair, [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("case", SPLIT_CASES)
-def test_split_steps_are_bitwise_the_same_on_any_number_of_threads(case, dtype, monkeypatch):
-    # One worker runs the halves in turn, two side by side, four leave two
-    # idle; a 10 us switch interval makes the halves trade the GIL often.
+def test_split_steps_are_bitwise_the_same_on_any_number_of_threads(case, dtype):
+    # With the peer, a forked process gathers and runs the second half of
+    # each step from the rows it is sent; without it, both halves run here,
+    # in turn, whether or not the batch names its rows.  The rows come
+    # shuffled, as an epoch's do.
     for n in (64, 67):
+        rng = np.random.default_rng(60 + n)
+        proto = split_model(case, dtype)
+        (feats, qids, labels), _ = pooled(*(batch_for(proto, rng, n) for _ in range(2)))
+        order = rng.permutation(2 * n)
         results = []
-        for workers, switch in ((1, None), (2, None), (4, None), (4, 1e-5)):
+        for with_peer, with_rows in ((False, False), (False, True), (True, True)):
             m, opt = split_model(case, dtype), AdamState(lr=1e-2)
-            rng = np.random.default_rng(60 + n)
-            interval = sys.getswitchinterval()
-            try:
-                if switch:
-                    sys.setswitchinterval(switch)
-                with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(ad, "worker_pool", lambda: pool)
-                    losses = [train_step(batch_for(m, rng, n), m, opt) for _ in range(2)]
-            finally:
-                sys.setswitchinterval(interval)
-            results.append((losses, m.flat.tobytes(), adam_bytes(opt)))
+            with Peer(m, [(feats, qids)], fork=with_peer) as peer:
+                assert (m.peer is peer) == with_peer and (peer.pid != 0) == with_peer
+                losses = []
+                for rows in (order[:n], order[n:]):
+                    batch = (feats[rows], qids[rows], labels[rows]) + ((rows,) if with_rows else ())
+                    losses.append(train_step(batch, m, opt))
+            assert m.peer is None
+            results.append((losses, m.grad.tobytes(), m.flat.tobytes(), adam_bytes(opt)))
         assert all(r == results[0] for r in results[1:]), n
 
 
 def test_an_error_in_one_half_raises_the_one_part_error_and_changes_nothing(monkeypatch):
-    case = "cnn_early_word_actual"
+    # Each case fails in the peer's half or in both, and the step raises the
+    # one-part step's error, class and message, only after both halves have
+    # ended.  Half sizes pick the case, since the patches below must be in
+    # place before the fork: features one column short in the halves of 33
+    # (the peer's half of 67) and of 35 and 36 (both halves of 71), the
+    # latter after 0.3 s in the peer; a NaN written into the peer's h0.qkv_w
+    # gradient in the half of 37 (the peer's half of 75).  A NaN feature in
+    # the peer's half of 77 makes the loss NaN.  Good steps (64 = 32 + 32)
+    # meet no patch, and the one after the errors is the peerless step's
+    # bit for bit, so the pipe is still in step.
+    case, parent = "cnn_early_word_actual", os.getpid()
     m, opt = split_model(case, np.float32), AdamState(lr=1e-2)
+    ref, ref_opt = split_model(case, np.float32), AdamState(lr=1e-2)
     rng = np.random.default_rng(70)
-    train_step(batch_for(m, rng, 64), m, opt)  # Adam's moments are no longer zero
-    before = (m.flat.tobytes(), adam_bytes(opt))
-    feats, qids, labels = batch_for(m, rng, 67)  # half 1 holds samples 34..66
+    warm, good, bad, poisoned = (batch_for(m, rng, n) for n in (64, 64, 67, 77))
+    poisoned[0][76] = np.nan  # the peer's half holds samples 39..76
+    (feats, qids, labels), rows = pooled(warm, good, bad, poisoned, batch_for(m, rng, 71),
+                                         batch_for(m, rng, 75))
+    real_logits, real_backward = model_module.feature_logits, ad.backward
+
+    def short(f, q, mdl):
+        if len(f) in (33, 35, 36):
+            if len(f) == 35 and os.getpid() != parent:
+                time.sleep(0.3)
+            f = f[..., :-1]
+        return real_logits(f, q, mdl)
+
+    def nan_in_the_peer(root, grad=None):
+        real_backward(root, grad)
+        if grad is not None and len(grad) == 37 and os.getpid() != parent:
+            m.replica.params["h0.qkv_w"].grad[2, 3] = np.nan
+
+    monkeypatch.setattr(model_module, "feature_logits", short)
+    monkeypatch.setattr(ad, "backward", nan_in_the_peer)
 
     def raised(step, batch):
         with pytest.raises((DataError, NonFiniteError, ValueError)) as info:
             if step is one_part_train_step:
-                step(batch, split_model(case, np.float32), AdamState(lr=1e-2))
+                step(batch[:3], split_model(case, np.float32), AdamState(lr=1e-2))
             else:
                 step(batch, m, opt)
         return type(info.value), str(info.value)
 
-    # Features one column short, in both halves or in the replica's only: the
-    # one-part step's error, class and message, since the message names the
-    # per-sample shape and not the extent of a half.
-    short = (feats[..., :-1], qids, labels)
-    expected = raised(one_part_train_step, short)
-    assert expected[0] is DataError and "got (8, 8, 7); " in expected[1]
-    assert raised(train_step, short) == expected
-    real_logits = model_module.feature_logits
-    with monkeypatch.context() as mp:
-        mp.setattr(model_module, "feature_logits", lambda f, q, mdl: real_logits(
-            f[..., :-1] if mdl is m.replica else f, q, mdl))
-        assert raised(train_step, (feats, qids, labels)) == expected
-    assert (m.flat.tobytes(), adam_bytes(opt)) == before
+    def at(i):
+        return feats[rows[i]], qids[rows[i]], labels[rows[i]], rows[i]
 
-    # A NaN in the last sample: the loss is NaN, as the one-part step says.
-    poisoned = feats.copy()
-    poisoned[66] = np.nan
-    expected = raised(one_part_train_step, (poisoned, qids, labels))
-    assert expected == (NonFiniteError, "non-finite loss nan")
-    assert raised(train_step, (poisoned, qids, labels)) == expected
-    assert (m.flat.tobytes(), adam_bytes(opt)) == before
+    with Peer(m, [(feats, qids)]) as peer:
+        assert train_step(at(0), m, opt) == train_step(warm, ref, ref_opt)
+        before = (m.flat.tobytes(), adam_bytes(opt))
+        expected = raised(one_part_train_step, (bad[0][..., :-1], *bad[1:]))
+        assert expected[0] is DataError and "got (8, 8, 7); " in expected[1]
+        assert raised(train_step, at(2)) == expected
+        t0 = time.perf_counter()
+        assert raised(train_step, at(4)) == expected
+        assert time.perf_counter() - t0 >= 0.3
+        expected = raised(one_part_train_step, poisoned)
+        assert expected == (NonFiniteError, "non-finite loss nan")
+        assert raised(train_step, at(3)) == expected
+        assert raised(train_step, at(5)) == (NonFiniteError, "non-finite gradient in h0.qkv_w")
+        assert (m.flat.tobytes(), adam_bytes(opt)) == before
 
-    # A NaN gradient from the second half names its parameter.
-    real_backward = ad.backward
+        # A label out of range stops the step before any backward runs here.
+        walks = []
+        monkeypatch.setattr(ad, "backward", lambda *a: walks.append(a) or real_backward(*a))
+        out_of_range = at(1)[2].copy()
+        out_of_range[50] = m.config.num_classes
+        got = raised(train_step, (*at(1)[:2], out_of_range, rows[1]))
+        assert got[0] is ValueError and "label out of range" in got[1]
+        assert walks == []
+        assert (m.flat.tobytes(), adam_bytes(opt)) == before
 
-    def nan_in_the_replica(root, grad=None):
-        real_backward(root, grad)
-        m.replica.params["h0.qkv_w"].grad[2, 3] = np.nan
+        assert peer.pid != 0
+        assert train_step(at(1), m, opt) == train_step(good, ref, ref_opt)
+    assert (m.flat.tobytes(), adam_bytes(opt)) == (ref.flat.tobytes(), adam_bytes(ref_opt))
 
-    with monkeypatch.context() as mp:
-        mp.setattr(ad, "backward", nan_in_the_replica)
-        got = raised(train_step, (feats, qids, labels))
-    assert got == (NonFiniteError, "non-finite gradient in h0.qkv_w")
-    assert (m.flat.tobytes(), adam_bytes(opt)) == before
 
-    # A label out of range stops the step before any backward runs.
-    walks = []
-    monkeypatch.setattr(ad, "backward", lambda *a: walks.append(a) or real_backward(*a))
-    bad = labels.copy()
-    bad[50] = m.config.num_classes
-    assert raised(train_step, (feats, qids, bad))[:1] == (ValueError,)
-    assert "label out of range" in raised(train_step, (feats, qids, bad))[1]
-    assert walks == []
-    assert (m.flat.tobytes(), adam_bytes(opt)) == before
+def test_no_peer_is_forked_beside_another_thread():
+    # A forked child gets a copy of every lock another thread holds, and no
+    # thread to release it; so the peer's work then runs in this process.
+    m = split_model("cnn_early_word_actual", np.float32)
+    feats, qids, _ = batch_for(m, np.random.default_rng(72), 4)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        with Peer(m, [(feats, qids)]) as peer:
+            assert peer.pid == 0 and m.peer is None
+            mine, theirs = peer.both(lambda: peer.logits(0, [slice(2, 4)]), "logits", 0, [slice(0, 2)])
+            assert np.concatenate(theirs + mine).shape == (4, m.config.num_classes)
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
 
 
 def test_the_replica_shares_the_parameters_and_owns_its_gradients():

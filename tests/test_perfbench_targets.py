@@ -75,9 +75,9 @@ def test_the_wrapped_globals_see_every_step_then_two_passes_per_epoch(
     # perfbench/run.py's Command.epoch_times reads an epoch as its train
     # steps, then one pass over the train split and one over the test split.
     # At batch 64 the 198 train samples make steps of 64, 64, 64 and 6: the
-    # first three run as two halves on the pool, which must not call the
-    # wrapped global, so perfbench's step time covers the pool's round trips
-    # and the gradient sum.
+    # first three run as two halves, the second on the peer, which must not
+    # call the wrapped global, so perfbench's step time covers the peer's
+    # round trips and the gradient sum.
     real_step, real_evaluate, events = cli.train_step, cli._evaluate_arrays, []
     real_split, splits = model._split_backward, []
 
@@ -86,9 +86,9 @@ def test_the_wrapped_globals_see_every_step_then_two_passes_per_epoch(
         assert threading.get_ident() == caller
         return real_step(batch, *rest)
 
-    def split_backward(features, question_ids, labels, m):
+    def split_backward(features, question_ids, labels, m, *rows):
         splits.append(len(labels))
-        return real_split(features, question_ids, labels, m)
+        return real_split(features, question_ids, labels, m, *rows)
 
     def evaluate_arrays(model, cfg, images, qids, labels, types):
         events.append(("pass", len(labels)))
