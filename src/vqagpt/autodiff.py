@@ -379,14 +379,15 @@ def softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), backward_fn)
 
 
-def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
+def attention(qkv: Tensor, mask: np.ndarray, n_heads: int, first: int = 0) -> Tensor:
     """Multi-head scaled dot-product attention over ``qkv`` (B, L, 3d), as one tape node.
 
     q, k and v are views of the three column blocks of ``qkv``, each split
-    into ``n_heads`` heads.  ``mask``, (L, L) or (B, 1, L, L), is added to
-    the scaled scores, which are softmaxed in place.  The output is the
-    heads' value mixtures side by side, (B, L, d).  The backward writes
-    dq, dk and dv into one (B, L, 3d) array.
+    into ``n_heads`` heads; the queries are rows ``first`` on, the keys and
+    values all L rows.  ``mask``, (L - first, L) or (B, 1, L - first, L), is
+    added to the scaled scores, which are softmaxed in place.  The output is
+    the heads' value mixtures side by side, (B, L - first, d).  The backward
+    writes dq (zero above ``first``), dk and dv into one (B, L, 3d) array.
     """
     bsz, length, width = qkv.data.shape
     if width % (3 * n_heads):
@@ -395,20 +396,22 @@ def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
     scale = 1.0 / math.sqrt(hd)
     # (B, L, 3, heads, hd) -> three (B, heads, L, hd) views
     q, k, v = qkv.data.reshape(bsz, length, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
+    q = q[:, :, first:]
     att = np.matmul(q, k.swapaxes(-1, -2))
     att *= scale
     att += mask
     _softmax_(att)
-    out = np.matmul(att, v).transpose(0, 2, 1, 3).reshape(bsz, length, width // 3)
+    out = np.matmul(att, v).transpose(0, 2, 1, 3).reshape(bsz, length - first, width // 3)
 
     def backward_fn(g):
-        go = g.reshape(bsz, length, n_heads, hd).transpose(0, 2, 1, 3)
+        go = g.reshape(bsz, length - first, n_heads, hd).transpose(0, 2, 1, 3)
         dqkv = np.empty_like(qkv.data)
         dq, dk, dv = dqkv.reshape(bsz, length, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
         np.matmul(att.swapaxes(-1, -2), go, out=dv)
         ds = _softmax_grad_(np.matmul(go, v.swapaxes(-1, -2)), att)
         ds *= scale
-        np.matmul(ds, k, out=dq)
+        dq[:, :, :first] = 0
+        np.matmul(ds, k, out=dq[:, :, first:])
         np.matmul(ds.swapaxes(-1, -2), q, out=dk)
         _accum(qkv, dqkv, fresh=True)
 

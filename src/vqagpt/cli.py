@@ -13,10 +13,11 @@ Determinism note: runs are reproducible bit-for-bit only in single-threaded
 BLAS mode; pin OMP_NUM_THREADS=1 (or the OpenBLAS equivalent) when that
 matters.  Each ``Run``, and each ``eval`` command, forks one
 ``model.Peer`` once its model and prepared arrays exist.  The peer forwards
-the later ``EVAL_CHUNK``-sample chunks of an evaluation pass, and the
-second half of a train step of 64 or more samples (see
-``model.train_step``); no output depends on whether it runs.  ``main``
-first sets the allocator policy of ``autodiff.keep_heap_resident``.
+the first half of an evaluation pass's whole ``EVAL_CHUNK``-sample chunks,
+and the second half of a train step of 64 or more samples (see
+``model.train_step``); no output depends on whether it runs.  Each side of
+a pass runs each distinct question once (``model.QuestionPrefix``).
+``main`` first sets the allocator policy of ``autodiff.keep_heap_resident``.
 """
 
 from __future__ import annotations
@@ -131,18 +132,19 @@ def _evaluate_arrays(model, cfg: RunConfig, feats, qids, labels, types):
     """Mean loss + MetricsReport over the arrays, no grad recorded.
 
     The forward passes run in ``EVAL_CHUNK``-sample chunks, not at
-    ``cfg.batch_size``, and are joined in chunk order.  When ``model.peer``
-    holds ``feats``, it forwards the whole chunks in the first half of the
-    samples.  The loss is taken once over all logits, so as long as a
-    sample's logits do not depend on the other samples in its chunk, the
-    result depends neither on the chunk size nor on the peer.
+    ``cfg.batch_size``, and are joined in chunk order.  When a forked
+    ``model.peer`` holds ``feats``, it forwards the whole chunks in the
+    first half of the samples; otherwise every chunk runs here.  The loss
+    is taken once over all logits, so as long as a sample's logits do not
+    depend on the other samples in its chunk, the result depends neither on
+    the chunk size nor on the peer.
     """
     peer = model.peer
     k = next((k for k, pair in enumerate(peer.arrays) if pair[0] is feats), None) if peer else None
     if k is None:
         peer, k = Peer(model, [(feats, qids)], fork=False), 0
     chunks = [slice(lo, lo + EVAL_CHUNK) for lo in range(0, len(labels), EVAL_CHUNK)]
-    theirs = len(labels) // (2 * EVAL_CHUNK)
+    theirs = len(labels) // (2 * EVAL_CHUNK) if peer.pid else 0
     mine, first = peer.both(lambda: peer.logits(k, chunks[theirs:]), "logits", k, chunks[:theirs])
     logits = np.concatenate(first + mine)
     loss = ad.cross_entropy(ad.Tensor(logits), labels)

@@ -15,6 +15,11 @@ order, the word tokens in early_vision order.  Under the causal mask these
 are the only positions that see both the question and the image.  The
 pooled state goes through linear -> GELU -> linear to class logits.
 
+Under ``ad.no_grad`` (evaluation) the last block runs only the readout
+rows, and in early_word order each distinct question's word rows run once
+(``QuestionPrefix``), so each sample runs only its vision rows.  Training
+keeps the full sequence, so its gradients are unchanged.
+
 A ``Peer`` is a forked copy of the process that runs the second half of a
 split train step and the later chunks of an evaluation pass on a core of
 its own, with one pipe round trip per part; without one, those parts run
@@ -37,6 +42,7 @@ import os
 import signal
 import struct
 import threading
+import types
 
 import numpy as np
 
@@ -113,8 +119,15 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> VQAModel:
     Creation order is fixed (embeddings, tokenizer, blocks, final norm,
     head), so a seed fully determines every tensor bitwise.
     """
+    return _build_params(config, np.random.Generator(np.random.PCG64(seed)), dtype)
+
+
+_NO_DRAWS = types.SimpleNamespace(standard_normal=np.zeros)  # an init generator that draws none
+
+
+def _build_params(config: ModelConfig, rng, dtype) -> VQAModel:
+    """``init_params``' model, with its weights drawn from ``rng``."""
     config.validate()
-    rng = np.random.Generator(np.random.PCG64(seed))
 
     def w(*shape, std=0.02):
         return ad.Tensor((rng.standard_normal(shape) * std).astype(dtype), requires_grad=True)
@@ -154,10 +167,16 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> VQAModel:
     return VQAModel(config, params)
 
 
-def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Tensor:
-    """Run the block stack over (B, L, d) rows; returns (B, L, d) hidden states.
+def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None, past=(), first=0,
+                    kv=None) -> ad.Tensor:
+    """Run the block stack over (B, L, d) rows; returns the final states of rows ``first`` on.
 
-    key_pad, when given, is a boolean (B, L) array marking padding
+    ``past`` holds per block the (B, P, 3d) qkv rows of P earlier positions,
+    which the rows attend over as over their own.  Rows before ``first``
+    give only keys and values in the last block.  ``kv``, a list, receives
+    each block's qkv rows.
+
+    key_pad, when given, is a boolean (B, P + L) array marking padding
     positions whose keys every query must ignore; queries at those
     positions still run, and the answer head gives them weight zero.
     """
@@ -167,19 +186,28 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Ten
     if x.ndim != 3:
         raise ValueError(f"decoder_forward expects (B, L, d) rows, got shape {x.shape}")
     bsz, length, d = x.shape
-    mask = np.triu(np.full((length, length), MASK_VALUE, dtype=x.dtype), k=1)
+    n_past = past[0].shape[1] if past else 0
+    total = n_past + length
+    mask = np.triu(np.full((total, total), MASK_VALUE, dtype=x.dtype), k=1)[n_past:]
     if key_pad is not None:
         key_pad = np.asarray(key_pad, dtype=bool)
-        if key_pad.shape != (bsz, length):
+        if key_pad.shape != (bsz, total):
             raise ValueError(
-                f"key_pad shape {key_pad.shape} does not match batch {(bsz, length)}"
+                f"key_pad shape {key_pad.shape} does not match batch {(bsz, total)}"
             )
         pad_add = np.where(key_pad, MASK_VALUE, 0.0).astype(x.dtype)
         mask = mask[None, None] + pad_add[:, None, None, :]
     for i in range(cfg.n_layers):
         h = ad.layer_norm(x, p[f"h{i}.ln1_g"], p[f"h{i}.ln1_b"])
         qkv = ad.linear(h, p[f"h{i}.qkv_w"], p[f"h{i}.qkv_b"])
-        o = ad.attention(qkv, mask, cfg.n_heads)
+        if kv is not None:
+            kv.append(qkv.data)
+        if past:
+            qkv = ad.concat([ad.Tensor(past[i]), qkv], axis=1)
+        top = first if i == cfg.n_layers - 1 else 0
+        o = ad.attention(qkv, mask[..., top:, :], cfg.n_heads, n_past + top)
+        if top:
+            x = ad.getitem(x, (slice(None), slice(top, None)))
         x = ad.add(x, ad.linear(o, p[f"h{i}.attn_out_w"], p[f"h{i}.attn_out_b"]))
         h2 = ad.layer_norm(x, p[f"h{i}.ln2_g"], p[f"h{i}.ln2_b"])
         mid = ad.gelu(ad.linear(h2, p[f"h{i}.mlp_in_w"], p[f"h{i}.mlp_in_b"]))
@@ -187,17 +215,20 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Ten
     return ad.layer_norm(x, p["lnf_g"], p["lnf_b"])
 
 
+def _readout_start(modality: np.ndarray) -> int:
+    """Where the readout segment, the trailing run of the last position's modality, starts."""
+    earlier = np.flatnonzero(modality != modality[-1])
+    return int(earlier[-1]) + 1 if earlier.size else 0
+
+
 def _readout_weights(seq: TokenSequence, batch: int, key_pad=None) -> np.ndarray:
     """(B, L) pooling weights of the answer head, each row summing to one.
 
-    The readout segment is the trailing run of positions that share the
-    last position's modality.  Its non-padding positions get equal weight;
-    every other position, padding included, gets exactly zero.
+    The readout segment's non-padding positions get equal weight; every
+    other position, padding included, gets exactly zero.
     """
-    earlier = np.flatnonzero(seq.modality != seq.modality[-1])
-    start = int(earlier[-1]) + 1 if earlier.size else 0
     keep = np.zeros((batch, seq.length), dtype=bool)
-    keep[:, start:] = True
+    keep[:, _readout_start(seq.modality):] = True
     if key_pad is not None:
         keep &= ~np.asarray(key_pad, dtype=bool)
     count = keep.sum(axis=1, keepdims=True)
@@ -206,18 +237,29 @@ def _readout_weights(seq: TokenSequence, batch: int, key_pad=None) -> np.ndarray
     return keep / count
 
 
-def classify(seq: TokenSequence, model: VQAModel, key_pad=None) -> ad.Tensor:
+def classify(seq: TokenSequence, model: VQAModel, key_pad=None, past=()) -> ad.Tensor:
     """Class logits from the mean final hidden state over the readout segment.
 
     See ``_readout_weights`` for which positions are pooled.  A padding
     position gets weight zero, so the logits never depend on its state.
+    ``past`` is ``decoder_forward``'s; ``key_pad`` then covers it too.
+    Under ``ad.no_grad`` the last block runs only the readout rows, if two
+    or more (numpy takes one row through gemv, which rounds otherwise).
     """
     if seq.length == 0:
         raise ValueError("cannot classify an empty sequence")
-    h = decoder_forward(seq, model, key_pad=key_pad)
-    bsz = h.shape[0]
-    weights = _readout_weights(seq, bsz, key_pad).astype(h.dtype)
-    pooled = ad.matmul(ad.Tensor(weights[:, None, :]), h)  # (B, 1, d)
+    bsz, n_past = seq.embedded.shape[0], past[0].shape[1] if past else 0
+    first = _readout_start(seq.modality)
+    if ad.no_grad.recording or seq.length - first < 2:
+        first = 0
+    h = decoder_forward(seq, model, key_pad, past, first)
+    # Made after the forward: an array held across it shifts the heap, and
+    # steady train steps fault pages again.
+    weights = _readout_weights(seq, bsz, None if key_pad is None else key_pad[:, n_past:])
+    if n_past + first:  # zero rows for the skipped ones: BLAS sums a shorter row otherwise
+        h = ad.concat([ad.Tensor(np.zeros((bsz, n_past + first, h.shape[2]), h.dtype)), h], 1)
+        weights = np.concatenate([np.zeros((bsz, n_past)), weights], axis=1)
+    pooled = ad.matmul(ad.Tensor(weights.astype(h.dtype)[:, None, :]), h)  # (B, 1, d)
     p = model.params
     # The fc layers run on (B, 1, d) rows, one product per sample, so a
     # sample's logits do not depend on how many share its batch.
@@ -240,12 +282,63 @@ def build_sequence(
     return sequence(words_e, vision_e, cfg)
 
 
-def feature_logits(features: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> ad.Tensor:
-    """Class logits (B, num_classes) from image features and question ids."""
-    seq = build_sequence(features, question_ids, model)
-    key_pad = np.zeros((len(question_ids), seq.length), dtype=bool)
-    key_pad[:, seq.modality == WORD_TYPE] = np.asarray(question_ids) == PAD_ID
-    return classify(seq, model, key_pad=key_pad)
+def _key_pad(question_ids: np.ndarray, modality: np.ndarray) -> np.ndarray:
+    """(B, L) flags of the padding word positions in a sequence of ``modality``."""
+    key_pad = np.zeros((len(question_ids), len(modality)), dtype=bool)
+    key_pad[:, modality == WORD_TYPE] = np.asarray(question_ids) == PAD_ID
+    return key_pad
+
+
+def _shares_questions(cfg: ModelConfig) -> bool:
+    """Whether a no-grad forward runs the word rows once per question (see ``QuestionPrefix``)."""
+    return cfg.order == "early_word" and cfg.n_tokens > 1
+
+
+class QuestionPrefix:
+    """Each block's qkv rows of the words of each distinct row of ``question_ids``.
+
+    In early_word order the words come first, so under the causal mask
+    their keys and values depend on the question alone.  They run beside
+    zero vision rows, so each product has the full sequence's shape.
+    """
+
+    def __init__(self, question_ids: np.ndarray, model: VQAModel):
+        cfg = model.config
+        keys = dict.fromkeys(ids.tobytes() for ids in question_ids)  # distinct, in order
+        self.rows = {key: i for i, key in enumerate(keys)}
+        distinct = np.frombuffer(b"".join(keys), question_ids.dtype)
+        distinct = distinct.reshape(len(keys), question_ids.shape[1])
+        words = embed_words(distinct, model.params, cfg)
+        blank = np.zeros((len(distinct), cfg.n_tokens, cfg.d), dtype=words.dtype)
+        seq = sequence(words, ad.Tensor(blank), cfg)
+        self.modality, self.kv = seq.modality, []
+        decoder_forward(seq, model, _key_pad(distinct, seq.modality), first=seq.length, kv=self.kv)
+        self.kv = [rows[:, : distinct.shape[1]] for rows in self.kv]
+
+    def past(self, question_ids: np.ndarray) -> list:
+        """Per block, the (B, n, 3d) qkv rows of each sample's question."""
+        rows = [self.rows[ids.tobytes()] for ids in question_ids]
+        return [kv[rows] for kv in self.kv]
+
+
+def feature_logits(features: np.ndarray, question_ids: np.ndarray, model: VQAModel,
+                   prefix: QuestionPrefix | None = None) -> ad.Tensor:
+    """Class logits (B, num_classes) from image features and question ids.
+
+    Under ``ad.no_grad`` in early_word order only the vision rows run, over
+    their questions' rows in ``prefix`` (made here when not given).
+    """
+    cfg = model.config
+    question_ids = np.asarray(question_ids)
+    if ad.no_grad.recording or not _shares_questions(cfg):
+        seq = build_sequence(features, question_ids, model)
+        return classify(seq, model, key_pad=_key_pad(question_ids, seq.modality))
+    if prefix is None:
+        prefix = QuestionPrefix(question_ids, model)
+    vision = embed_vision(encode_images(features, cfg, model.params), model.params, cfg)
+    seq = TokenSequence(vision, prefix.modality[question_ids.shape[1]:])
+    return classify(seq, model, _key_pad(question_ids, prefix.modality),
+                    prefix.past(question_ids))
 
 
 def forward_logits(images: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> ad.Tensor:
@@ -386,10 +479,15 @@ class Peer(contextlib.AbstractContextManager):
         return mine, reply
 
     def logits(self, k: int, chunks: list) -> list:
-        """No-grad logits of each slice in ``chunks`` of pair ``k``, in order."""
+        """No-grad logits of each slice in ``chunks`` of pair ``k``, in order, over one prefix."""
         features, question_ids = self.arrays[k]
         with ad.no_grad():
-            return [feature_logits(features[c], question_ids[c], self.model).data for c in chunks]
+            prefix = None
+            if chunks and _shares_questions(self.model.config):
+                ids = np.concatenate([question_ids[c] for c in chunks])
+                prefix = QuestionPrefix(ids, self.model)
+            return [feature_logits(features[c], question_ids[c], self.model, prefix).data
+                    for c in chunks]
 
     def forward(self, k: int, rows) -> np.ndarray:
         """The replica's logits of ``rows`` of pair ``k``, their graph kept for ``backward``."""
@@ -539,7 +637,7 @@ def restore_model(config: ModelConfig, tensors: dict, dtype=None) -> VQAModel:
     sample = next(iter(tensors.values()), None)
     if dtype is None:
         dtype = sample.dtype if sample is not None else np.float32
-    model = init_params(config, seed=0, dtype=dtype)
+    model = _build_params(config, _NO_DRAWS, dtype)  # every tensor is overwritten below
     if set(tensors) != set(model.params):
         missing = sorted(set(model.params) - set(tensors))
         extra = sorted(set(tensors) - set(model.params))

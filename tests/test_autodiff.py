@@ -247,13 +247,14 @@ def unfused_attention(qkv, mask, n_heads):
 KEY_PAD = np.array([[False] * 5, [False, False, False, True, True]])
 
 
-@pytest.mark.parametrize("masked", ["causal", "key_pad"])
+@pytest.mark.parametrize("masked", ["causal", "key_pad", "queries_from_row_2"])
 def test_grad_attention(masked):
     rng = np.random.default_rng(14)
     qkv = t(rng.standard_normal((2, 5, 18)))  # d = 6, 2 heads of 3
-    mask = causal_mask(5) if masked == "causal" else key_pad_mask(KEY_PAD)
-    m = Tensor(rng.standard_normal((2, 5, 6)))
-    check_grads(lambda: ad.sum_(ad.mul(ad.attention(qkv, mask, 2), m)), [qkv])
+    first = 2 if masked == "queries_from_row_2" else 0
+    mask = key_pad_mask(KEY_PAD) if masked == "key_pad" else causal_mask(5)[first:]
+    m = Tensor(rng.standard_normal((2, 5 - first, 6)))
+    check_grads(lambda: ad.sum_(ad.mul(ad.attention(qkv, mask, 2, first), m)), [qkv])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

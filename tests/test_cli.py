@@ -38,7 +38,7 @@ from vqagpt.model import (
     restore_model,
     save_checkpoint,
 )
-from vqagpt.tokenizers import Vocabulary
+from vqagpt.tokenizers import Vocabulary, build_vocab
 
 
 def write_config(path: Path, cfg: RunConfig) -> str:
@@ -411,10 +411,10 @@ def test_a_misshapen_chunk_raises_the_serial_data_error_on_any_pool(
     # through main.
     real = model_module.feature_logits
 
-    def short_partial_chunk(feats, qids, model):
+    def short_partial_chunk(feats, qids, model, *prefix):
         if len(feats) < cli.EVAL_CHUNK:
             feats = feats[..., :-1]
-        return real(feats, qids, model)
+        return real(feats, qids, model, *prefix)
 
     monkeypatch.setattr(model_module, "feature_logits", short_partial_chunk)
     config_text, vocab_lines, label_lines, tensors = load_checkpoint(
@@ -471,6 +471,45 @@ def test_a_peer_whose_core_is_gone_runs_unpinned(trained_mini, mini_corpus, monk
     usable = os.sched_getaffinity(0)
     monkeypatch.setattr(model_module, "_peer_core", lambda: max(usable) + 4096)
     assert peer_affinity(trained_mini, mini_corpus) == usable
+
+
+@pytest.mark.parametrize("order", ["early_word", "early_vision"])
+def test_an_evaluation_pass_runs_each_question_once_and_the_last_block_on_the_readout(
+    desk_corpus, monkeypatch, order
+):
+    # Rows reaching each block's qkv and mlp_in products in one 400-sample
+    # desk pass with no peer.  In early_word order the words run once per
+    # distinct question, beside zero vision rows (n + m rows each), and each
+    # sample adds its m vision rows; the last block's MLP runs the vision
+    # rows alone.  In early_vision order every sample runs all n + m rows,
+    # and the last block's MLP only its n word rows.  A silent fallback to
+    # the full sequence would count (n + m) rows per sample everywhere.
+    cfg = replace(desk_corpus["cfg"], order=order)
+    ds = desk_corpus["test"]
+    vocab = build_vocab([s.question for s in desk_corpus["train"].samples])
+    arrays = cli._prepare_arrays(cfg, vocab, ds, ds.samples)
+    model = init_params(cfg.to_model_config(vocab.size, len(ds.label_map)), 0)
+    p = model.params
+    rows = {}
+    real_linear = ad.linear
+
+    def counting(x, w, b):
+        rows[id(w)] = rows.get(id(w), 0) + x.data.shape[0] * x.data.shape[1]
+        return real_linear(x, w, b)
+
+    monkeypatch.setattr(ad, "linear", counting)
+    cli._evaluate_arrays(model, cfg, *arrays)
+    n, m, samples = cfg.max_question_len, cfg.n_tokens, len(ds.samples)
+    distinct = len(np.unique(arrays[1], axis=0))
+    assert samples == 400 and m == 4 and 0 < distinct < 40
+    if order == "early_word":
+        block, readout = distinct * (n + m) + samples * m, samples * m
+    else:
+        block, readout = samples * (n + m), samples * n
+    last = cfg.n_layers - 1
+    for i in range(cfg.n_layers):
+        assert rows[id(p[f"h{i}.qkv_w"])] == block, i
+        assert rows[id(p[f"h{i}.mlp_in_w"])] == (readout if i == last else block), i
 
 
 def test_forward_logits_on_raw_images_match_the_feature_path(trained_mini, mini_corpus):

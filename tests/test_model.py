@@ -258,6 +258,49 @@ def test_early_vision_logits_ignore_padding_positions():
             forward_logits(imgs, blank, m)
 
 
+def questions(rng, batch: int, distinct: int) -> np.ndarray:
+    """``batch`` rows cycling through ``distinct`` random 12-id questions of 3-12 words."""
+    rows = rng.integers(2, 30, size=(distinct, 12))
+    for r, row in enumerate(rows):
+        row[3 + r % 10 :] = PAD_ID
+    return rows[np.arange(batch) % distinct]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("backend", ["cnn_lite", "vit_lite"])
+@pytest.mark.parametrize("order", ["early_word", "early_vision"])
+def test_no_grad_logits_equal_the_recorded_forward_bit_for_bit(order, backend, dtype):
+    # Under no_grad the last block runs the readout rows alone, and in
+    # early_word order the vision rows attend over keys and values that each
+    # distinct question's rows computed once (QuestionPrefix).  The logits
+    # must be the recorded full-sequence forward's, byte for byte, at the
+    # desk widths (d = 64, 4 heads, 2 x 2 vision tokens, 12 words), whether
+    # one question fills the batch or none repeats, and whether the prefix
+    # is the batch's own or one of more questions in another order.  A
+    # readout segment of one row (one vision token, or one-id questions)
+    # would take gemv, so it must run the full sequence.
+    rng = np.random.default_rng(60)
+    base = dict(d=64, n_layers=2, n_heads=4, mlp_ratio=4, max_pos=64, vocab_size=30,
+                num_classes=11, image_size=16, patch_grid=2, token_dim=64, order=order,
+                vision_backend=backend)
+    cases = [({}, batch, distinct, 12) for batch, distinct in ((1, 1), (4, 2), (64, 1), (67, 67))]
+    cases += [(kw, batch, 5, 12) for kw in ({"n_layers": 1}, {"use_type_embedding": False})
+              for batch in (4, 67)]
+    cases += [({"patch_grid": 1}, 4, 2, 12), ({}, 4, 2, 1)]
+    for kw, batch, distinct, width in cases:
+        cfg = small_config(**{**base, **kw})
+        m = init_params(cfg, seed=61, dtype=dtype)
+        feats = image_features(rng.random((batch, 16, 16, 3)), cfg, dtype)
+        qids = questions(rng, batch, distinct)[:, :width]
+        want = feature_logits(feats, qids, m).data.tobytes()
+        with ad.no_grad():
+            assert feature_logits(feats, qids, m).data.tobytes() == want, (kw, batch)
+            if order == "early_word":
+                more = np.concatenate([questions(rng, 9, 9)[:, :width], qids[::-1]])
+                prefix = model_module.QuestionPrefix(more, m)
+                assert feature_logits(feats, qids, m, prefix).data.tobytes() == want, (kw, batch)
+
+
 def test_argmax_ties_break_toward_lowest_class():
     cfg = small_config()
     m = init_params(cfg, seed=14, dtype=np.float64)
