@@ -40,6 +40,9 @@ from . import kernels
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
+# Patch rows per ``conv2d`` block (4 samples of a 16x16 map): they stay in
+# cache from the gather to the GEMM.
+CONV_BLOCK_ROWS = 1024
 
 
 class no_grad:
@@ -505,11 +508,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     """2-D cross-correlation as a channels-last patch gather and a GEMM.
 
     x: (B, C_in, H, W), w: (C_out, C_in, kh, kw), b: (C_out,); the output is
-    (B, C_out, OH, OW).  ``kernels.im2col`` gathers the (B*OH*OW, kh*kw*C_in)
-    patch rows of the channels-last input, and one batched matmul meets them
-    with the weight permuted to (C_out, kh, kw, C_in).  The output is an NCHW
-    view of the channels-last result, so a following conv gathers from it
-    without a transpose copy.
+    (B, C_out, OH, OW).  The channels-last input is padded once; then, block
+    by block of ``CONV_BLOCK_ROWS`` patch rows, ``kernels.im2col`` gathers
+    the rows and one GEMM per sample meets them with the weight permuted to
+    (C_out, kh, kw, C_in), so the bits do not depend on the blocks.  The
+    output is an NCHW view of the channels-last result, so a following conv
+    gathers from it without a transpose copy.
 
     Backward: the bias and weight gradients are one reduction each over all
     B*OH*OW rows.  Where windows overlap (kernel > stride), the input
@@ -523,15 +527,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     if c_in != c_in2:
         raise ValueError(f"conv2d channel mismatch: input {c_in}, weight {c_in2}")
     x_nhwc = x.data.transpose(0, 2, 3, 1)
-    cols = kernels.im2col(x_nhwc, kh, kw, stride, pad)  # (B*OH*OW, kh*kw*C_in)
+    xp = x_nhwc
+    if pad:
+        xp = np.zeros((bsz, h + 2 * pad, wi + 2 * pad, c_in), dtype=x.data.dtype)
+        xp[:, pad : pad + h, pad : pad + wi] = x_nhwc
     wmat = w.data.transpose(0, 2, 3, 1).reshape(c_out, -1)  # (C_out, kh*kw*C_in)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wi + 2 * pad - kw) // stride + 1
-    # One GEMM per sample, not one over all B*OH*OW rows: BLAS takes another
-    # kernel for small products (the grid conv at batch 4 has 16 rows), so
-    # folding the batch would make a sample's output depend on its batch.
-    out = np.matmul(cols.reshape(bsz, oh * ow, -1), wmat.T)
-    out += b.data
+    rows = oh * ow
+    per = max(1, CONV_BLOCK_ROWS // rows)  # samples per block
+    out = np.empty((bsz, rows, c_out), dtype=np.result_type(xp, wmat))
+    # Backward keeps the (B*OH*OW, kh*kw*C_in) patch rows; a no-grad
+    # forward holds one block of them at a time.
+    cols = np.empty((bsz * rows, wmat.shape[1]), xp.dtype) if no_grad.recording else None
+    for lo in range(0, bsz, per):
+        hi = min(bsz, lo + per)
+        part = None if cols is None else cols[lo * rows : hi * rows]
+        part = kernels.im2col(xp[lo:hi], kh, kw, stride, 0, out=part)
+        # One GEMM per sample, not one over all B*OH*OW rows: BLAS takes another
+        # kernel for small products (the grid conv at batch 4 has 16 rows), so
+        # folding the batch would make a sample's output depend on its batch.
+        np.matmul(part.reshape(hi - lo, rows, -1), wmat.T, out=out[lo:hi])
+        out[lo:hi] += b.data
     out = out.reshape(bsz, oh, ow, c_out).transpose(0, 3, 1, 2)
 
     def backward_fn(g):

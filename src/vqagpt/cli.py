@@ -115,14 +115,15 @@ def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
     per split, so no train step or evaluation pass repeats it.  The images
     are read and featurized in ``EVAL_CHUNK``-sample chunks into one
     preallocated array, so the split's raw images are never all held at once.
+    Each distinct question is tokenized once.
     """
     feats = np.empty((len(samples),) + feature_shape(cfg), dtype=_dtype_for(cfg))
     for lo in range(0, len(samples), EVAL_CHUNK):
         chunk = load_images(dataset, samples[lo : lo + EVAL_CHUNK])
         feats[lo : lo + len(chunk)] = image_features(chunk, cfg, feats.dtype)
-    qids = np.stack(
-        [tokenize_question(s.question, vocab, cfg.max_question_len) for s in samples]
-    )
+    distinct = {s.question for s in samples}  # the desk splits hold 33
+    ids = {q: tokenize_question(q, vocab, cfg.max_question_len) for q in distinct}
+    qids = np.stack([ids[s.question] for s in samples])
     labels = np.array([s.answer_class for s in samples], dtype=np.int64)
     types = [s.question_type for s in samples]
     return feats, qids, labels, types

@@ -15,28 +15,33 @@ patch rows times the (kh*kw*C, C_out) weight matrix are the convolution.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 def _out_size(n: int, k: int, stride: int, pad: int) -> int:
     return (n + 2 * pad - k) // stride + 1
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, out=None) -> np.ndarray:
     """Gather (B, H, W, C) into (B*OH*OW, kh*kw*C) patch rows.
 
     Row b*OH*OW + p holds the receptive field of output pixel p of sample
     b in kernel-row, then kernel-column, then channel order.  ``x`` may be
     any strided view; besides the padding, the one copy is the reshape of
-    the window view.
+    the (B, OH, OW, kh, kw, C) window view, or its copy into ``out``, a
+    C-contiguous array of the result's shape, when one is given.
     """
     b, h, w, c = x.shape
     oh, ow = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
     if pad:
         x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (B, H', W', C, kh, kw)
-    win = win[:, : stride * oh : stride, : stride * ow : stride]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(b * oh * ow, kh * kw * c)
+    sb, sh, sw, sc = x.strides
+    win = as_strided(x, (b, oh, ow, kh, kw, c), (sb, stride * sh, stride * sw, sh, sw, sc),
+                     writeable=False)
+    if out is None:
+        return win.reshape(b * oh * ow, kh * kw * c)
+    out.reshape(win.shape)[...] = win
+    return out
 
 
 def col2im(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import math
 import mmap
 import multiprocessing
@@ -436,6 +437,10 @@ class Peer(contextlib.AbstractContextManager):
             return  # a fork copies no other thread, nor the locks it may hold
         model.replica  # made before the fork, so the child's gradient is shared
         self._conn, child_end = multiprocessing.Pipe()
+        # A collection writes the header of each object it scans, so it would
+        # copy every page of older objects that the fork shares; frozen, the
+        # objects made so far are left out of collections until ``close``.
+        gc.freeze()
         self.pid = os.fork()
         if self.pid == 0:
             self._conn.close()  # so that the parent's death reads as EOF
@@ -509,6 +514,7 @@ class Peer(contextlib.AbstractContextManager):
             self._conn.close()
             os.waitpid(self.pid, 0)
             self.pid, self.model.peer = 0, None
+            gc.unfreeze()
 
     def __exit__(self, *exc) -> None:
         self.close()

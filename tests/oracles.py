@@ -1,8 +1,10 @@
 """Independent oracles the tests check the package against.
 
 Everything here is deliberately written the slow, obvious way (explicit
-Python loops, scipy reference routines, regex question parsing) and shares
-no code path with the package, except the reference bodies at the end.
+Python loops, scipy reference routines, regex question parsing), or, where
+a test pins bits, as the plain numpy formulation the package must keep
+(``conv2d_gemm_reference``).  Nothing shares a code path with the package,
+except the reference bodies at the end.
 These were written and frozen before the tests that rely on them; expected
 values are computed, never invented.
 """
@@ -11,6 +13,7 @@ import math
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import correlate2d
 
 
@@ -48,6 +51,57 @@ def conv2d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, p
                 acc += correlate2d(x[n, ci], w[co, ci], mode="valid")
             out[n, co] = acc[::stride, ::stride] + b[co]
     return out
+
+
+def conv2d_gemm_reference(x, w, b, stride: int, pad: int, g=None):
+    """conv2d as one whole-batch patch gather and a stacked per-sample GEMM.
+
+    The formulation ``autodiff.conv2d`` keeps bit for bit, in plain numpy:
+    ``np.pad`` of the channels-last input, the (B*OH*OW, kh*kw*C_in) patch
+    rows of the whole batch, one GEMM per sample against the (kh, kw, C_in)
+    -ordered weight, then the bias.  Given an output gradient ``g``, it
+    returns (out, dx, dw, db): the bias and weight gradients are one
+    reduction and one product over all rows; the input gradient is the
+    rows times the weight put back in place (disjoint windows), or the
+    patch rows of the stride-dilated, padded ``g`` against the flipped
+    weight (overlapping ones).
+    """
+    bsz, c_in, h, wi = x.shape
+    c_out, _, kh, kw = w.shape
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (wi + 2 * pad - kw) // stride + 1
+
+    def patch_rows(img, rows, cols, step):
+        win = sliding_window_view(img, (kh, kw), axis=(1, 2))[:, : step * rows : step,
+                                                              : step * cols : step]
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(len(img) * rows * cols, -1)
+
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    cols = patch_rows(xp, oh, ow, stride)
+    wmat = w.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    out = np.matmul(cols.reshape(bsz, oh * ow, -1), wmat.T)
+    out += b
+    out = out.reshape(bsz, oh, ow, c_out).transpose(0, 3, 1, 2)
+    if g is None:
+        return out
+    # The tape holds the output gradient in the output's channels-last memory.
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, c_out)
+    db = gmat.sum(axis=0)
+    dw = np.matmul(gmat.T, cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+    if kh <= stride and kw <= stride:
+        taps = np.matmul(gmat, wmat).reshape(bsz, oh, ow, kh, kw, c_in)
+        dxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] = taps[:, :, :, i, j]
+        dx = dxp[:, pad : pad + h, pad : pad + wi]
+    else:
+        gd = np.zeros((bsz, h + 2 * pad + kh - 1, wi + 2 * pad + kw - 1, c_out), dtype=g.dtype)
+        gd[:, kh - 1 : kh - 1 + stride * oh : stride,
+           kw - 1 : kw - 1 + stride * ow : stride] = g.transpose(0, 2, 3, 1)
+        gd = gd[:, pad : pad + h + kh - 1, pad : pad + wi + kw - 1]
+        wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
+        dx = np.matmul(patch_rows(gd, h, wi, 1), wflip).reshape(bsz, h, wi, c_in)
+    return out, dx.transpose(0, 3, 1, 2), dw, db
 
 
 def im2col_reference(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from vqagpt.autodiff import AdamState, Tensor, adam_step
 
 from oracles import (
     adam_first_step_delta,
+    conv2d_gemm_reference,
     conv2d_reference,
     fd_gradient,
     gelu_erf_reference,
@@ -182,6 +183,37 @@ def test_conv2d_window_layouts_match_scipy_and_finite_differences(layout):
     assert np.max(np.abs(got - ref)) < 1e-10
     m = Tensor(rng.standard_normal(ref.shape))
     check_grads(lambda: ad.sum_(ad.mul(ad.conv2d(x, w, b, stride=stride, pad=pad), m)), [x, w, b])
+
+
+# (c_in, c_out, size, k, stride, pad): the tokenizer's residual pair and
+# grid conv at desk scale, and the stride-2 layout of test_grad_conv2d.
+BLOCKED_CONV_LAYOUTS = [(8, 16, 16, 3, 1, 1), (16, 8, 16, 3, 1, 1), (8, 64, 16, 8, 8, 0),
+                        (3, 4, 6, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", BLOCKED_CONV_LAYOUTS)
+def test_blocked_conv2d_is_bitwise_the_whole_batch_gemm(layout, dtype):
+    # conv2d gathers and multiplies CONV_BLOCK_ROWS patch rows at a time;
+    # at these batches the blocks end mid-batch and the last one is short.
+    # Its output and all three gradients must be the whole-batch
+    # formulation's bytes, recording or not.
+    c_in, c_out, size, k, stride, pad = layout
+    rng = np.random.default_rng(70)
+    for batch in (1, 3, 4, 5, 17, 64):
+        x = rng.standard_normal((batch, c_in, size, size)).astype(dtype)
+        w = rng.standard_normal((c_out, c_in, k, k)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        out = ad.conv2d(*(Tensor(a, requires_grad=True) for a in (x, w, b)), stride, pad)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        want = conv2d_gemm_reference(x, w, b, stride, pad, g)
+        ad.backward(out, g)
+        got = (out.data,) + tuple(p.grad for p in out._parents)
+        for name, a, e in zip(("out", "dx", "dw", "db"), got, want):
+            assert a.dtype == e.dtype and a.tobytes() == e.tobytes(), (name, batch)
+        with ad.no_grad():
+            quiet = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, pad).data
+        assert quiet.tobytes() == want[0].tobytes(), batch
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import os
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -299,6 +300,29 @@ def test_no_grad_logits_equal_the_recorded_forward_bit_for_bit(order, backend, d
                 more = np.concatenate([questions(rng, 9, 9)[:, :width], qids[::-1]])
                 prefix = model_module.QuestionPrefix(more, m)
                 assert feature_logits(feats, qids, m, prefix).data.tobytes() == want, (kw, batch)
+
+
+def test_no_grad_desk_chunk_holds_no_whole_chunk_patch_matrices():
+    # A 64-sample evaluation chunk of the desk model: the tokenizer runs in
+    # blocks, so its conv patch rows and activations never exist for the
+    # whole chunk.  Whole-chunk patch matrices alone take 4.7 and 9.4 MB,
+    # and after an eval command forks its peer every page it writes is
+    # copied, so the traced peak is bounded at 5 MiB.
+    keys = apply_profile(RunConfig(), "desk")
+    m = init_params(keys.to_model_config(vocab_size=30, num_classes=11), seed=62,
+                    dtype=np.float32)
+    rng = np.random.default_rng(63)
+    feats = image_features(rng.random((64, keys.image_size, keys.image_size, 3)), keys,
+                           np.float32)
+    qids = questions(rng, 64, 33)
+    with ad.no_grad():
+        tracemalloc.start()
+        try:
+            feature_logits(feats, qids, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 5 << 20, peak / 2**20
 
 
 def test_argmax_ties_break_toward_lowest_class():

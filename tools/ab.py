@@ -14,10 +14,15 @@ stay equal as long as the two checkouts compute alike.
 Each round times, for the models of the two benchmark workloads
 (``desk_b64``: cnn_lite in early_word order; ``vit_ev_b64``: vit_lite in
 early_vision order), one-part train steps of batches 4, 32 and 64
-(``SPLIT_BATCH`` is raised for the run, so no step splits) and evaluation
+(``SPLIT_BATCH`` is raised for the run, so no step splits), evaluation
 passes over the 1600 train and 400 test samples (``cli._evaluate_arrays``
-with no peer).  Within a round every operation
-runs on both sides back to back, A first in even rounds and B first in odd
+with no peer), and a whole ``eval`` command (``cli.main``) on a checkpoint
+that checkout A's ``train`` command wrote for that model (one epoch at
+batch 64).  Each ``eval`` command forks its own peer, as it does outside
+this tool, so its row pays the fork's copy-on-write faults, which the warm
+passes never see.  It runs on the process's original cores, and both sides
+must print the same report.  Within a round every operation runs on both
+sides back to back, A first in even rounds and B first in odd
 ones.  The first two rounds are warm-up and are not counted.  The table
 gives each side's median in ms, the ratio B/A of the medians, and the share
 of rounds in which B was faster.
@@ -35,8 +40,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import io  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -50,6 +57,7 @@ BATCHES = (4, 32, 64)
 # (backend, order): the models of the desk_b64 and vit_ev_b64 benchmark workloads
 MODELS = (("cnn_lite", "early_word"), ("vit_lite", "early_vision"))
 WARMUP_ROUNDS = 2
+CORES = os.sched_getaffinity(0)  # before main pins the process to one of them
 
 
 def load_package(checkout: Path, name: str) -> dict:
@@ -88,6 +96,22 @@ class Side:
         self.pkg["cli"]._evaluate_arrays(self.model, self.cfg, *arrays)
         return time.perf_counter() - t0
 
+    def command(self, argv) -> float:
+        """Time ``cli.main(argv)`` on every core; what it printed is left in ``self.printed``."""
+        printed, pinned = io.StringIO(), os.sched_getaffinity(0)
+        os.sched_setaffinity(0, CORES)
+        try:
+            with contextlib.redirect_stdout(printed):
+                t0 = time.perf_counter()
+                code = self.pkg["cli"].main(argv)
+                seconds = time.perf_counter() - t0
+        finally:
+            os.sched_setaffinity(0, pinned)
+        if code != 0:
+            raise SystemExit(f"{self.pkg['cli'].__name__}.main({argv}) returned {code}")
+        self.printed = printed.getvalue()
+        return seconds
+
 
 def run_config(pkg: dict, data: Path, backend: str, order: str):
     config = pkg["config"]
@@ -95,8 +119,20 @@ def run_config(pkg: dict, data: Path, backend: str, order: str):
                    vision_backend=backend, order=order, data_dir=str(data))
 
 
-def build(pkgs: list, data: Path) -> list:
-    """Per model: (name, splits, [side A, side B])."""
+def eval_argv(side: Side, data: Path, work: Path, backend: str, order: str) -> list:
+    """``eval`` arguments for a checkpoint that ``side``'s ``train`` command writes now."""
+    run = work / f"{backend}-{order}"
+    run.mkdir()
+    (run / "train.cfg").write_text(
+        f"epochs = 1\nbatch_size = 64\nvision_backend = {backend}\norder = {order}\n")
+    side.command(["train", "--profile", "desk", "--config", str(run / "train.cfg"),
+                  "--data", str(data), "--out", str(run / "train")])
+    return ["eval", "--checkpoint", str(run / "train" / "model.ckpt"), "--data", str(data),
+            "--out", str(run / "eval")]
+
+
+def build(pkgs: list, data: Path, work: Path) -> list:
+    """Per model: (name, splits, eval command arguments, [side A, side B])."""
     a = pkgs[0]
     out = []
     for model in MODELS:
@@ -111,7 +147,8 @@ def build(pkgs: list, data: Path) -> list:
         tensors = {n: p.data.copy() for n, p in side_a.model.params.items()}
         side_b = Side(pkgs[1], run_config(pkgs[1], data, *model), vocab.size, n_classes,
                       tensors)
-        out.append(("/".join(model), splits, [side_a, side_b]))
+        argv = eval_argv(side_a, data, work, *model)
+        out.append(("/".join(model), splits, argv, [side_a, side_b]))
     return out
 
 
@@ -121,7 +158,7 @@ def measure(models: list, rounds: int) -> dict:
     rng = np.random.default_rng(0)
     for r in range(WARMUP_ROUNDS + rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
-        for model, (train, test), sides in models:
+        for model, (train, test), argv, sides in models:
             feats, qids, labels = train[:3]
             ops = []
             for b in BATCHES:
@@ -130,10 +167,14 @@ def measure(models: list, rounds: int) -> dict:
                 ops.append((f"{model} train step b{b}", "train_step", batch))
             for split in (train, test):
                 ops.append((f"{model} eval pass {len(split[2])}", "eval_pass", split))
+            ops.append((f"{model} eval command", "command", argv))
             for name, method, arg in ops:
                 got = [0.0, 0.0]
                 for s in order:
                     got[s] = getattr(sides[s], method)(arg)
+                if method == "command" and sides[0].printed != sides[1].printed:
+                    raise SystemExit(f"{model}: the two eval commands printed different "
+                                     f"reports:\n{sides[0].printed}\n{sides[1].printed}")
                 if r >= WARMUP_ROUNDS:
                     pair = times.setdefault(name, ([], []))
                     pair[0].append(got[0])
@@ -174,7 +215,7 @@ def main(argv=None) -> int:
         if data is None:
             data = Path(tmp) / "data"
             pkgs[0]["data"].generate_synthetic(run_config(pkgs[0], data, *MODELS[0]))
-        times = measure(build(pkgs, data), args.rounds)
+        times = measure(build(pkgs, data, Path(tmp)), args.rounds)
     report(times, (str(args.checkout_a), str(args.checkout_b)))
     return 0
 
