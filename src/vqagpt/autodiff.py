@@ -382,39 +382,43 @@ def softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), backward_fn)
 
 
-def attention(qkv: Tensor, mask: np.ndarray, n_heads: int, first: int = 0) -> Tensor:
+def attention(qkv: Tensor, mask: np.ndarray, n_heads: int, first: int = 0,
+              end: int | None = None) -> Tensor:
     """Multi-head scaled dot-product attention over ``qkv`` (B, L, 3d), as one tape node.
 
     q, k and v are views of the three column blocks of ``qkv``, each split
-    into ``n_heads`` heads; the queries are rows ``first`` on, the keys and
-    values all L rows.  ``mask``, (L - first, L) or (B, 1, L - first, L), is
-    added to the scaled scores, which are softmaxed in place.  The output is
-    the heads' value mixtures side by side, (B, L - first, d).  The backward
-    writes dq (zero above ``first``), dk and dv into one (B, L, 3d) array.
+    into ``n_heads`` heads; the queries are rows ``first`` to ``end`` (L
+    when None), the keys and values all L rows.  ``mask``, (Q, L) or
+    (B, 1, Q, L) for the Q = end - first queries, is added to the scaled
+    scores, which are softmaxed in place.  The output is the heads' value
+    mixtures side by side, (B, Q, d).  The backward writes dq (zero outside
+    [first, end)), dk and dv into one (B, L, 3d) array.
     """
     bsz, length, width = qkv.data.shape
     if width % (3 * n_heads):
         raise ValueError(f"attention: width {width} is not 3 x {n_heads} heads")
+    end = length if end is None else end
     hd = width // (3 * n_heads)
     scale = 1.0 / math.sqrt(hd)
     # (B, L, 3, heads, hd) -> three (B, heads, L, hd) views
     q, k, v = qkv.data.reshape(bsz, length, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
-    q = q[:, :, first:]
+    q = q[:, :, first:end]
     att = np.matmul(q, k.swapaxes(-1, -2))
     att *= scale
     att += mask
     _softmax_(att)
-    out = np.matmul(att, v).transpose(0, 2, 1, 3).reshape(bsz, length - first, width // 3)
+    out = np.matmul(att, v).transpose(0, 2, 1, 3).reshape(bsz, end - first, width // 3)
 
     def backward_fn(g):
-        go = g.reshape(bsz, length - first, n_heads, hd).transpose(0, 2, 1, 3)
+        go = g.reshape(bsz, end - first, n_heads, hd).transpose(0, 2, 1, 3)
         dqkv = np.empty_like(qkv.data)
         dq, dk, dv = dqkv.reshape(bsz, length, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
         np.matmul(att.swapaxes(-1, -2), go, out=dv)
         ds = _softmax_grad_(np.matmul(go, v.swapaxes(-1, -2)), att)
         ds *= scale
         dq[:, :, :first] = 0
-        np.matmul(ds, k, out=dq[:, :, first:])
+        dq[:, :, end:] = 0
+        np.matmul(ds, k, out=dq[:, :, first:end])
         np.matmul(ds.swapaxes(-1, -2), q, out=dk)
         _accum(qkv, dqkv, fresh=True)
 
@@ -543,7 +547,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     for lo in range(0, bsz, per):
         hi = min(bsz, lo + per)
         part = None if cols is None else cols[lo * rows : hi * rows]
-        part = kernels.im2col(xp[lo:hi], kh, kw, stride, 0, out=part)
+        part = kernels.im2col(xp[lo:hi], kh, kw, stride, out=part)
         # One GEMM per sample, not one over all B*OH*OW rows: BLAS takes another
         # kernel for small products (the grid conv at batch 4 has 16 rows), so
         # folding the batch would make a sample's output depend on its batch.
@@ -572,7 +576,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
                kw - 1 : kw - 1 + stride * ow : stride] = g.transpose(0, 2, 3, 1)
             gd = gd[:, pad : pad + h + kh - 1, pad : pad + wi + kw - 1]
             wflip = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
-            dx = np.matmul(kernels.im2col(gd, kh, kw, 1, 0), wflip)
+            dx = np.matmul(kernels.im2col(gd, kh, kw, 1), wflip)
             dx = dx.reshape(bsz, h, wi, c_in)
         _accum(x, dx.transpose(0, 3, 1, 2), fresh=True)
 

@@ -13,10 +13,12 @@ Determinism note: runs are reproducible bit-for-bit only in single-threaded
 BLAS mode; pin OMP_NUM_THREADS=1 (or the OpenBLAS equivalent) when that
 matters.  Each ``Run``, and each ``eval`` command, forks one
 ``model.Peer`` once its model and prepared arrays exist.  The peer forwards
-the first half of an evaluation pass's whole ``EVAL_CHUNK``-sample chunks,
-and the second half of a train step of 64 or more samples (see
-``model.train_step``); no output depends on whether it runs.  Each side of
-a pass runs each distinct question once (``model.QuestionPrefix``).
+the leading chunks of an evaluation pass, about half of its rows (see
+``_evaluate_arrays``), and the second half of a train step of 64 or more
+samples (see ``model.train_step``); no output depends on whether it runs.
+In early_word order each side of a pass runs each distinct question once
+(``model.QuestionPrefix``); in early_vision order each chunk holds
+questions of one length and runs only their real word rows.
 ``main`` first sets the allocator policy of ``autodiff.keep_heap_resident``.
 """
 
@@ -57,7 +59,8 @@ from .model import (
     save_checkpoint,
     train_step,
 )
-from .tokenizers import Vocabulary, build_vocab, feature_shape, image_features, tokenize_question
+from .tokenizers import (PAD_ID, Vocabulary, build_vocab, feature_shape, image_features,
+                         tokenize_question)
 
 CHECKPOINT_NAME = "model.ckpt"
 METRICS_CSV = "metrics.csv"
@@ -132,22 +135,39 @@ def _prepare_arrays(cfg: RunConfig, vocab: Vocabulary, dataset, samples):
 def _evaluate_arrays(model, cfg: RunConfig, feats, qids, labels, types):
     """Mean loss + MetricsReport over the arrays, no grad recorded.
 
-    The forward passes run in ``EVAL_CHUNK``-sample chunks, not at
-    ``cfg.batch_size``, and are joined in chunk order.  When a forked
-    ``model.peer`` holds ``feats``, it forwards the whole chunks in the
-    first half of the samples; otherwise every chunk runs here.  The loss
-    is taken once over all logits, so as long as a sample's logits do not
-    depend on the other samples in its chunk, the result depends neither on
-    the chunk size nor on the peer.
+    The forward passes run in chunks of at most ``EVAL_CHUNK`` samples, not
+    at ``cfg.batch_size``.  In early_word order the chunks are consecutive
+    slices.  In early_vision order the samples are ordered by question
+    length (a stable sort) and each chunk holds questions of one length, so
+    ``model.feature_logits`` runs only their word rows.  When a forked
+    ``model.peer`` holds ``feats``, it forwards the leading chunks up to
+    half of the pass's rows (each sample's m vision rows, and in
+    early_vision order its words); otherwise every chunk runs here.  The
+    logits are put back in sample order and the loss is taken once over
+    them all, so as long as a sample's logits do not depend on the other
+    samples in its chunk, the result depends neither on the chunks nor on
+    the peer.
     """
     peer = model.peer
     k = next((k for k, pair in enumerate(peer.arrays) if pair[0] is feats), None) if peer else None
     if k is None:
         peer, k = Peer(model, [(feats, qids)], fork=False), 0
-    chunks = [slice(lo, lo + EVAL_CHUNK) for lo in range(0, len(labels), EVAL_CHUNK)]
-    theirs = len(labels) // (2 * EVAL_CHUNK) if peer.pid else 0
+    n = len(labels)
+    if model.config.order == "early_vision":
+        lengths = np.count_nonzero(qids != PAD_ID, axis=1)
+        order = np.argsort(lengths, kind="stable")
+        runs = np.flatnonzero(np.diff(lengths[order], prepend=-1, append=-1))  # starts, then n
+        chunks = [order[lo : min(lo + EVAL_CHUNK, hi)]
+                  for start, hi in zip(runs, runs[1:]) for lo in range(start, hi, EVAL_CHUNK)]
+        rows = np.cumsum([len(c) * (model.config.n_tokens + lengths[c[0]]) for c in chunks])
+    else:  # rows in units of m
+        order, chunks = None, [slice(lo, lo + EVAL_CHUNK) for lo in range(0, n, EVAL_CHUNK)]
+        rows = np.minimum(np.arange(1, len(chunks) + 1) * EVAL_CHUNK, n)
+    theirs = int(np.searchsorted(rows, rows[-1] / 2, side="right")) if peer.pid else 0
     mine, first = peer.both(lambda: peer.logits(k, chunks[theirs:]), "logits", k, chunks[:theirs])
     logits = np.concatenate(first + mine)
+    if order is not None:  # back to sample order
+        logits[order] = logits.copy()
     loss = ad.cross_entropy(ad.Tensor(logits), labels)
     preds = np.argmax(logits, axis=-1)
     report = compute_metrics(preds, labels, types, n_classes=model.config.num_classes)

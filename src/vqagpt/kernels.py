@@ -22,19 +22,17 @@ def _out_size(n: int, k: int, stride: int, pad: int) -> int:
     return (n + 2 * pad - k) // stride + 1
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, out=None) -> np.ndarray:
-    """Gather (B, H, W, C) into (B*OH*OW, kh*kw*C) patch rows.
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, out=None) -> np.ndarray:
+    """Gather (B, H, W, C) into (B*OH*OW, kh*kw*C) patch rows, with no padding.
 
     Row b*OH*OW + p holds the receptive field of output pixel p of sample
     b in kernel-row, then kernel-column, then channel order.  ``x`` may be
-    any strided view; besides the padding, the one copy is the reshape of
+    any strided view, padded by the caller; the one copy is the reshape of
     the (B, OH, OW, kh, kw, C) window view, or its copy into ``out``, a
     C-contiguous array of the result's shape, when one is given.
     """
     b, h, w, c = x.shape
-    oh, ow = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    oh, ow = _out_size(h, kh, stride, 0), _out_size(w, kw, stride, 0)
     sb, sh, sw, sc = x.strides
     win = as_strided(x, (b, oh, ow, kh, kw, c), (sb, stride * sh, stride * sw, sh, sw, sc),
                      writeable=False)

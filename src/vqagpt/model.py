@@ -16,12 +16,16 @@ are the only positions that see both the question and the image.  The
 pooled state goes through linear -> GELU -> linear to class logits.
 
 Under ``ad.no_grad`` (evaluation) the last block runs only the readout
-rows, and in early_word order each distinct question's word rows run once
-(``QuestionPrefix``), so each sample runs only its vision rows.  Training
-keeps the full sequence, so its gradients are unchanged.
+rows.  In early_word order each distinct question's word rows run once
+(``QuestionPrefix``), so each sample runs only its vision rows.  In
+early_vision order the id slots that are padding in every sample of the
+batch are cut, and each block stands zero keys and values in for them, so
+every sum keeps its full length.  The logits are the recorded forward's
+bit for bit.  Training keeps the full sequence, so its gradients are
+unchanged.
 
 A ``Peer`` is a forked copy of the process that runs the second half of a
-split train step and the later chunks of an evaluation pass on a core of
+split train step and the leading chunks of an evaluation pass on a core of
 its own, with one pipe round trip per part; without one, those parts run
 in the calling process, in turn, with the same results bit for bit.
 
@@ -177,9 +181,13 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None, past=(), 
     give only keys and values in the last block.  ``kv``, a list, receives
     each block's qkv rows.
 
-    key_pad, when given, is a boolean (B, P + L) array marking padding
+    key_pad, when given, is a boolean (B, T) array marking padding
     positions whose keys every query must ignore; queries at those
-    positions still run, and the answer head gives them weight zero.
+    positions still run, and the answer head gives them weight zero.  T is
+    P + L, or more when slots were cut from the end of the sequence: those
+    last positions must be padding in every row, and each block appends
+    zero qkv rows for them, so every softmax and value mix spans all T keys
+    bit for bit as in the uncut sequence, and no query runs there.
     """
     cfg = model.config
     p = model.params
@@ -188,25 +196,28 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None, past=(), 
         raise ValueError(f"decoder_forward expects (B, L, d) rows, got shape {x.shape}")
     bsz, length, d = x.shape
     n_past = past[0].shape[1] if past else 0
-    total = n_past + length
-    mask = np.triu(np.full((total, total), MASK_VALUE, dtype=x.dtype), k=1)[n_past:]
+    end = n_past + length
+    total = end if key_pad is None else np.shape(key_pad)[1]
+    mask = np.triu(np.full((total, total), MASK_VALUE, dtype=x.dtype), k=1)[n_past:end]
     if key_pad is not None:
         key_pad = np.asarray(key_pad, dtype=bool)
-        if key_pad.shape != (bsz, total):
+        if key_pad.shape[0] != bsz or total < end or not key_pad[:, end:].all():
             raise ValueError(
-                f"key_pad shape {key_pad.shape} does not match batch {(bsz, total)}"
+                f"key_pad shape {key_pad.shape} is not batch {(bsz, end)} and cut padding slots"
             )
         pad_add = np.where(key_pad, MASK_VALUE, 0.0).astype(x.dtype)
         mask = mask[None, None] + pad_add[:, None, None, :]
+    cut = [ad.Tensor(np.zeros((bsz, total - end, 3 * d), x.dtype))] if total > end else []
     for i in range(cfg.n_layers):
         h = ad.layer_norm(x, p[f"h{i}.ln1_g"], p[f"h{i}.ln1_b"])
         qkv = ad.linear(h, p[f"h{i}.qkv_w"], p[f"h{i}.qkv_b"])
         if kv is not None:
             kv.append(qkv.data)
-        if past:
-            qkv = ad.concat([ad.Tensor(past[i]), qkv], axis=1)
+        if past or cut:
+            before = [ad.Tensor(past[i])] if past else []
+            qkv = ad.concat(before + [qkv] + cut, axis=1)
         top = first if i == cfg.n_layers - 1 else 0
-        o = ad.attention(qkv, mask[..., top:, :], cfg.n_heads, n_past + top)
+        o = ad.attention(qkv, mask[..., top:, :], cfg.n_heads, n_past + top, end)
         if top:
             x = ad.getitem(x, (slice(None), slice(top, None)))
         x = ad.add(x, ad.linear(o, p[f"h{i}.attn_out_w"], p[f"h{i}.attn_out_b"]))
@@ -243,9 +254,10 @@ def classify(seq: TokenSequence, model: VQAModel, key_pad=None, past=()) -> ad.T
 
     See ``_readout_weights`` for which positions are pooled.  A padding
     position gets weight zero, so the logits never depend on its state.
-    ``past`` is ``decoder_forward``'s; ``key_pad`` then covers it too.
-    Under ``ad.no_grad`` the last block runs only the readout rows, if two
-    or more (numpy takes one row through gemv, which rounds otherwise).
+    ``past`` and ``key_pad`` are ``decoder_forward``'s; the head pools over
+    zero rows for the past and the cut slots.  Under ``ad.no_grad`` the
+    last block runs only the readout rows, if two or more (numpy takes one
+    row through gemv, which rounds otherwise).
     """
     if seq.length == 0:
         raise ValueError("cannot classify an empty sequence")
@@ -256,10 +268,15 @@ def classify(seq: TokenSequence, model: VQAModel, key_pad=None, past=()) -> ad.T
     h = decoder_forward(seq, model, key_pad, past, first)
     # Made after the forward: an array held across it shifts the heap, and
     # steady train steps fault pages again.
-    weights = _readout_weights(seq, bsz, None if key_pad is None else key_pad[:, n_past:])
-    if n_past + first:  # zero rows for the skipped ones: BLAS sums a shorter row otherwise
-        h = ad.concat([ad.Tensor(np.zeros((bsz, n_past + first, h.shape[2]), h.dtype)), h], 1)
-        weights = np.concatenate([np.zeros((bsz, n_past)), weights], axis=1)
+    end = n_past + seq.length
+    weights = _readout_weights(seq, bsz, None if key_pad is None else key_pad[:, n_past:end])
+    total = end if key_pad is None else key_pad.shape[1]
+    if total > h.shape[1]:  # zero rows for the rest: BLAS sums a shorter row otherwise
+        d = h.shape[2]
+        h = ad.concat([ad.Tensor(np.zeros((bsz, n_past + first, d), h.dtype)), h,
+                       ad.Tensor(np.zeros((bsz, total - end, d), h.dtype))], 1)
+        weights = np.concatenate([np.zeros((bsz, n_past)), weights, np.zeros((bsz, total - end))],
+                                 axis=1)
     pooled = ad.matmul(ad.Tensor(weights.astype(h.dtype)[:, None, :]), h)  # (B, 1, d)
     p = model.params
     # The fc layers run on (B, 1, d) rows, one product per sample, so a
@@ -327,13 +344,21 @@ def feature_logits(features: np.ndarray, question_ids: np.ndarray, model: VQAMod
     """Class logits (B, num_classes) from image features and question ids.
 
     Under ``ad.no_grad`` in early_word order only the vision rows run, over
-    their questions' rows in ``prefix`` (made here when not given).
+    their questions' rows in ``prefix`` (made here when not given).  In
+    early_vision order the id columns that are padding in every row are cut
+    (at least one column stays), and ``decoder_forward`` runs the rest as
+    if they were there.
     """
     cfg = model.config
     question_ids = np.asarray(question_ids)
     if ad.no_grad.recording or not _shares_questions(cfg):
-        seq = build_sequence(features, question_ids, model)
-        return classify(seq, model, key_pad=_key_pad(question_ids, seq.modality))
+        n = width = question_ids.shape[1]
+        if not ad.no_grad.recording and cfg.order == "early_vision":
+            real = np.flatnonzero((question_ids != PAD_ID).any(axis=0))
+            n = real[-1] + 1 if real.size else 1
+        seq = build_sequence(features, question_ids[:, :n], model)
+        uncut = np.append(seq.modality, [WORD_TYPE] * (width - n))
+        return classify(seq, model, key_pad=_key_pad(question_ids, uncut))
     if prefix is None:
         prefix = QuestionPrefix(question_ids, model)
     vision = embed_vision(encode_images(features, cfg, model.params), model.params, cfg)
@@ -484,7 +509,7 @@ class Peer(contextlib.AbstractContextManager):
         return mine, reply
 
     def logits(self, k: int, chunks: list) -> list:
-        """No-grad logits of each slice in ``chunks`` of pair ``k``, in order, over one prefix."""
+        """No-grad logits of each chunk (slice or index array) of pair ``k``, over one prefix."""
         features, question_ids = self.arrays[k]
         with ad.no_grad():
             prefix = None

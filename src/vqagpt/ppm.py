@@ -8,6 +8,8 @@ to 8 bits happens only here.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import DataError
@@ -25,42 +27,38 @@ def write_ppm(path, img: np.ndarray) -> None:
         f.write(raw.tobytes())
 
 
-def _read_header_token(f) -> bytes:
-    # PPM headers allow '#' comments and arbitrary whitespace between tokens.
-    token = b""
-    while True:
-        ch = f.read(1)
-        if not ch:
-            raise DataError("truncated ppm header")
-        if ch == b"#":
-            while ch and ch != b"\n":
-                ch = f.read(1)
-            continue
-        if ch.isspace():
-            if token:
-                return token
-            continue
-        token += ch
+# The header: "P6", then width, height and maxval, each after whitespace and
+# comments and ended by one whitespace byte.  A comment runs from '#' to the
+# end of its line and may break a field, as the Netpbm format allows.  The
+# fields are matched in turn, so a field that is absent marks where the
+# header was cut short.
+_FIELD = rb"(?:\s|#[^\n]*\n)*([^\s#](?:[^\s#]|#[^\n]*\n)*)\s"
+_HEADER = re.compile(rb"P6(?:%s(?:%s(?:%s)?)?)?" % (_FIELD, _FIELD, _FIELD))
+_COMMENT = re.compile(rb"#[^\n]*\n")
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a P6 file into an (H, W, 3) float32 array scaled to [0, 1]."""
-    with open(path, "rb") as f:
-        magic = f.read(2)
-        if magic != b"P6":
-            raise DataError(f"{path}: not a binary ppm (magic {magic!r})")
+    """Read a P6 file, with one read, into an (H, W, 3) float32 array scaled to [0, 1]."""
+    with open(path, "rb", buffering=0) as f:
+        data = f.read()
+    header = _HEADER.match(data)
+    if header is None:
+        raise DataError(f"{path}: not a binary ppm (magic {data[:2]!r})")
+    fields = []
+    for field in header.groups():  # width, height, maxval
+        if field is None:
+            raise DataError("truncated ppm header")
         try:
-            w = int(_read_header_token(f))
-            h = int(_read_header_token(f))
-            maxval = int(_read_header_token(f))
+            fields.append(int(_COMMENT.sub(b"", field)))
         except ValueError as exc:
             raise DataError(f"{path}: malformed ppm header") from exc
-        if maxval != 255:
-            raise DataError(f"{path}: unsupported maxval {maxval}, expected 255")
-        if w <= 0 or h <= 0:
-            raise DataError(f"{path}: bad dimensions {w}x{h}")
-        raw = f.read(w * h * 3)
-        if len(raw) != w * h * 3:
-            raise DataError(f"{path}: truncated pixel data")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return arr.astype(np.float32) / 255.0
+    w, h, maxval = fields
+    if maxval != 255:
+        raise DataError(f"{path}: unsupported maxval {maxval}, expected 255")
+    if w <= 0 or h <= 0:
+        raise DataError(f"{path}: bad dimensions {w}x{h}")
+    if len(data) - header.end() < w * h * 3:
+        raise DataError(f"{path}: truncated pixel data")
+    arr = np.frombuffer(data, np.uint8, w * h * 3, header.end()).astype(np.float32)
+    arr /= 255.0
+    return arr.reshape(h, w, 3)

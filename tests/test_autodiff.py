@@ -279,14 +279,19 @@ def unfused_attention(qkv, mask, n_heads):
 KEY_PAD = np.array([[False] * 5, [False, False, False, True, True]])
 
 
-@pytest.mark.parametrize("masked", ["causal", "key_pad", "queries_from_row_2"])
+@pytest.mark.parametrize("masked", ["causal", "key_pad", "queries_from_row_2",
+                                    "queries_of_rows_1_to_3"])
 def test_grad_attention(masked):
+    # Rows outside [first, end) give keys and values only: their dq is zero.
     rng = np.random.default_rng(14)
     qkv = t(rng.standard_normal((2, 5, 18)))  # d = 6, 2 heads of 3
-    first = 2 if masked == "queries_from_row_2" else 0
-    mask = key_pad_mask(KEY_PAD) if masked == "key_pad" else causal_mask(5)[first:]
-    m = Tensor(rng.standard_normal((2, 5 - first, 6)))
-    check_grads(lambda: ad.sum_(ad.mul(ad.attention(qkv, mask, 2, first), m)), [qkv])
+    rows = {"queries_from_row_2": (2, 5), "queries_of_rows_1_to_3": (1, 4)}
+    first, end = rows.get(masked, (0, 5))
+    mask = key_pad_mask(KEY_PAD) if masked == "key_pad" else causal_mask(5)[first:end]
+    m = Tensor(rng.standard_normal((2, end - first, 6)))
+    check_grads(lambda: ad.sum_(ad.mul(ad.attention(qkv, mask, 2, first, end), m)), [qkv])
+    dq = qkv.grad[..., :6]  # exact zeros: a stale buffer can hold values too small for FD
+    assert not dq[:, :first].any() and not dq[:, end:].any()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

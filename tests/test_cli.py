@@ -38,7 +38,7 @@ from vqagpt.model import (
     restore_model,
     save_checkpoint,
 )
-from vqagpt.tokenizers import Vocabulary, build_vocab
+from vqagpt.tokenizers import PAD_ID, Vocabulary, build_vocab
 
 
 def write_config(path: Path, cfg: RunConfig) -> str:
@@ -323,6 +323,9 @@ def test_evaluation_in_64_sample_chunks_matches_batch_4(trained_mini, mini_corpu
     # (and at 4), which must match the same sample forwarded in one pass of
     # all 65; they run through a model of the desk width d = 64, where a
     # product of one row can round otherwise than inside a larger product.
+    # A vit_lite/early_vision model of that width orders its pass by
+    # question length and cuts the padding slots; the logits that reach the
+    # loss must still be the in-order batch-4 ones, bit for bit.
     config_text, vocab_lines, label_lines, tensors = load_checkpoint(
         trained_mini["out"] / CHECKPOINT_NAME
     )
@@ -330,10 +333,17 @@ def test_evaluation_in_64_sample_chunks_matches_batch_4(trained_mini, mini_corpu
     trained = restore_model(cfg.to_model_config(len(vocab_lines), len(label_lines)), tensors)
     wide_cfg = replace(cfg, d=64, n_heads=4, token_dim=64)
     wide = init_params(wide_cfg.to_model_config(len(vocab_lines), len(label_lines)), 0)
+    vit_cfg = replace(wide_cfg, vision_backend="vit_lite", order="early_vision")
+    vit = init_params(vit_cfg.to_model_config(len(vocab_lines), len(label_lines)), 0)
     ds = mini_corpus["train"]
     vocab = Vocabulary.from_lines(vocab_lines)
     chunk = cli.EVAL_CHUNK
-    for model, run_cfg, n in ((trained, cfg, len(ds.samples)), (wide, wide_cfg, 65)):
+    to_loss = []  # the logits of each pass, as they reach the loss
+    real_cross_entropy = ad.cross_entropy
+    monkeypatch.setattr(ad, "cross_entropy",
+                        lambda x, y: to_loss.append(x.data) or real_cross_entropy(x, y))
+    for model, run_cfg, n in ((trained, cfg, len(ds.samples)), (wide, wide_cfg, 65),
+                              (vit, vit_cfg, len(ds.samples))):
         arrays = cli._prepare_arrays(run_cfg, vocab, ds, ds.samples[:n])
         feats, qids, labels = arrays[:3]
 
@@ -344,12 +354,15 @@ def test_evaluation_in_64_sample_chunks_matches_batch_4(trained_mini, mini_corpu
                     for i in range(0, len(labels), batch)
                 ])
 
+        in_order = logits_at(4).tobytes()
         monkeypatch.setattr(cli, "EVAL_CHUNK", chunk)
         loss_c, rep_c = cli._evaluate_arrays(model, run_cfg, *arrays)
+        assert to_loss[-1].tobytes() == in_order, n
         for batch in (4, n):
             assert np.array_equal(logits_at(batch), logits_at(chunk)), (n, batch)
             monkeypatch.setattr(cli, "EVAL_CHUNK", batch)
             loss_b, rep_b = cli._evaluate_arrays(model, run_cfg, *arrays)
+            assert to_loss[-1].tobytes() == in_order, (n, batch)
             assert loss_b == loss_c
             assert (rep_b.n, rep_b.acc, rep_b.macro_recall, rep_b.macro_fscore, rep_b.per_type) == (
                 rep_c.n, rep_c.acc, rep_c.macro_recall, rep_c.macro_fscore, rep_c.per_type
@@ -481,9 +494,11 @@ def test_an_evaluation_pass_runs_each_question_once_and_the_last_block_on_the_re
     # desk pass with no peer.  In early_word order the words run once per
     # distinct question, beside zero vision rows (n + m rows each), and each
     # sample adds its m vision rows; the last block's MLP runs the vision
-    # rows alone.  In early_vision order every sample runs all n + m rows,
-    # and the last block's MLP only its n word rows.  A silent fallback to
-    # the full sequence would count (n + m) rows per sample everywhere.
+    # rows alone.  In early_vision order each chunk holds questions of one
+    # length, so a sample runs its m vision rows and its real words only,
+    # and the last block's MLP only those words.  A silent fallback to the
+    # full sequence would count (n + m) rows per sample everywhere, and one
+    # to the n id slots n rows per sample in the last block.
     cfg = replace(desk_corpus["cfg"], order=order)
     ds = desk_corpus["test"]
     vocab = build_vocab([s.question for s in desk_corpus["train"].samples])
@@ -505,7 +520,9 @@ def test_an_evaluation_pass_runs_each_question_once_and_the_last_block_on_the_re
     if order == "early_word":
         block, readout = distinct * (n + m) + samples * m, samples * m
     else:
-        block, readout = samples * (n + m), samples * n
+        lengths = np.count_nonzero(arrays[1] != PAD_ID, axis=1)
+        assert lengths.min() >= 2 and lengths.max() < n  # no one-row readout; some padding
+        block, readout = int((m + lengths).sum()), int(lengths.sum())
     last = cfg.n_layers - 1
     for i in range(cfg.n_layers):
         assert rows[id(p[f"h{i}.qkv_w"])] == block, i

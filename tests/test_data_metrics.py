@@ -297,6 +297,21 @@ def test_ppm_header_comments_and_errors(tmp_path):
     with pytest.raises(DataError, match="maxval"):
         read_ppm(p)
 
+    p.write_bytes(b"P6\ntwo 1\n255\n" + bytes(6))
+    with pytest.raises(DataError, match="malformed ppm header"):
+        read_ppm(p)
+
+    p.write_bytes(b"P6\n2 1\n255")  # no whitespace byte ends the maxval
+    with pytest.raises(DataError, match="truncated ppm header"):
+        read_ppm(p)
+
+    # A comment may break a field, and exactly one whitespace byte ends the
+    # maxval: the pixels here start with a byte that is whitespace.
+    p.write_bytes(b"P6 2#c\n0 1\t25#\n5\n" + b"\n" + bytes(59))
+    img = read_ppm(p)
+    assert img.shape == (1, 20, 3)
+    assert np.rint(img * 255).ravel().tolist() == [10] + [0] * 59
+
 
 # ---------------------------------------------------------------------------
 # metrics

@@ -23,13 +23,18 @@ SHAPES = [
 ]
 
 
+def padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """(B, H, W, C) ``x`` with ``pad`` zero rows and columns on each side, as conv2d pads it."""
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_im2col_numpy_matches_reference(shape):
     b, c, h, w, kh, kw, stride, pad = shape
     rng = np.random.default_rng(1)
     x = rng.standard_normal((b, h, w, c))
     ref = im2col_reference(x, kh, kw, stride, pad)
-    assert np.array_equal(kernels.im2col(x, kh, kw, stride, pad), ref)
+    assert np.array_equal(kernels.im2col(padded(x, pad), kh, kw, stride), ref)
 
 
 # Disjoint windows with gaps between them (stride > kernel) and padding.
@@ -42,7 +47,7 @@ def test_col2im_is_adjoint_of_im2col(shape):
     b, c, h, w, kh, kw, stride, pad = shape
     rng = np.random.default_rng(2)
     x = rng.standard_normal((b, h, w, c))
-    cols = kernels.im2col(x, kh, kw, stride, pad)
+    cols = kernels.im2col(padded(x, pad), kh, kw, stride)
     y = rng.standard_normal(cols.shape)
     if kh > stride or kw > stride:
         with pytest.raises(ValueError, match="disjoint windows only"):

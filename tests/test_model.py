@@ -259,11 +259,14 @@ def test_early_vision_logits_ignore_padding_positions():
             forward_logits(imgs, blank, m)
 
 
-def questions(rng, batch: int, distinct: int) -> np.ndarray:
-    """``batch`` rows cycling through ``distinct`` random 12-id questions of 3-12 words."""
+def questions(rng, batch: int, distinct: int, lengths=range(3, 13)) -> np.ndarray:
+    """``batch`` rows cycling through ``distinct`` random 12-id questions.
+
+    Question r has ``lengths[r % len(lengths)]`` words: 3-12 by default.
+    """
     rows = rng.integers(2, 30, size=(distinct, 12))
     for r, row in enumerate(rows):
-        row[3 + r % 10 :] = PAD_ID
+        row[lengths[r % len(lengths)] :] = PAD_ID
     return rows[np.arange(batch) % distinct]
 
 
@@ -279,20 +282,30 @@ def test_no_grad_logits_equal_the_recorded_forward_bit_for_bit(order, backend, d
     # one question fills the batch or none repeats, and whether the prefix
     # is the batch's own or one of more questions in another order.  A
     # readout segment of one row (one vision token, or one-id questions)
-    # would take gemv, so it must run the full sequence.
+    # would take gemv, so it must run the full sequence.  In early_vision
+    # order the id slots that are padding in every row are cut, so batches
+    # whose questions are all shorter than the 12 slots, of one length or
+    # of several, and of one word (a one-row readout again), must match too.
     rng = np.random.default_rng(60)
     base = dict(d=64, n_layers=2, n_heads=4, mlp_ratio=4, max_pos=64, vocab_size=30,
                 num_classes=11, image_size=16, patch_grid=2, token_dim=64, order=order,
                 vision_backend=backend)
-    cases = [({}, batch, distinct, 12) for batch, distinct in ((1, 1), (4, 2), (64, 1), (67, 67))]
-    cases += [(kw, batch, 5, 12) for kw in ({"n_layers": 1}, {"use_type_embedding": False})
+    words = range(3, 13)
+    cases = [({}, batch, distinct, 12, words)
+             for batch, distinct in ((1, 1), (4, 2), (64, 1), (67, 67))]
+    cases += [(kw, batch, 5, 12, words) for kw in ({"n_layers": 1}, {"use_type_embedding": False})
               for batch in (4, 67)]
-    cases += [({"patch_grid": 1}, 4, 2, 12), ({}, 4, 2, 1)]
-    for kw, batch, distinct, width in cases:
+    cases += [({"patch_grid": 1}, 4, 2, 12, words), ({}, 4, 2, 1, words)]
+    if order == "early_vision":
+        cases += [({}, batch, distinct, 12, lengths)
+                  for batch, distinct, lengths in ((64, 64, (5,)), (67, 67, range(2, 9)),
+                                                   (4, 4, (1,)), (9, 9, (1, 2, 7)))]
+        cases += [({"patch_grid": 1}, 4, 4, 12, (6,))]
+    for kw, batch, distinct, width, lengths in cases:
         cfg = small_config(**{**base, **kw})
         m = init_params(cfg, seed=61, dtype=dtype)
         feats = image_features(rng.random((batch, 16, 16, 3)), cfg, dtype)
-        qids = questions(rng, batch, distinct)[:, :width]
+        qids = questions(rng, batch, distinct, lengths)[:, :width]
         want = feature_logits(feats, qids, m).data.tobytes()
         with ad.no_grad():
             assert feature_logits(feats, qids, m).data.tobytes() == want, (kw, batch)

@@ -15,12 +15,17 @@ Each round times, for the models of the two benchmark workloads
 (``desk_b64``: cnn_lite in early_word order; ``vit_ev_b64``: vit_lite in
 early_vision order), one-part train steps of batches 4, 32 and 64
 (``SPLIT_BATCH`` is raised for the run, so no step splits), evaluation
-passes over the 1600 train and 400 test samples (``cli._evaluate_arrays``
-with no peer), and a whole ``eval`` command (``cli.main``) on a checkpoint
+passes over the 1600 train and 400 test samples (``cli._evaluate_arrays``),
+once with no peer and once with the side's own forked ``model.Peer``, so
+that the split of a pass between the two processes shows, and a whole
+``eval`` command (``cli.main``) on a checkpoint
 that checkout A's ``train`` command wrote for that model (one epoch at
 batch 64).  Each ``eval`` command forks its own peer, as it does outside
 this tool, so its row pays the fork's copy-on-write faults, which the warm
-passes never see.  It runs on the process's original cores, and both sides
+passes never see.  Each side's peer is forked once, before the first round,
+over copies of the two splits' features (a pass finds its peer by its
+features), and pins itself to the last of the process's original cores.
+The ``eval`` command runs on the process's original cores, and both sides
 must print the same report.  Within a round every operation runs on both
 sides back to back, A first in even rounds and B first in odd
 ones.  The first two rounds are warm-up and are not counted.  The table
@@ -131,8 +136,21 @@ def eval_argv(side: Side, data: Path, work: Path, backend: str, order: str) -> l
             "--out", str(run / "eval")]
 
 
-def build(pkgs: list, data: Path, work: Path) -> list:
-    """Per model: (name, splits, eval command arguments, [side A, side B])."""
+def fork_peers(sides: list, splits: list, peers: contextlib.ExitStack) -> list:
+    """``splits`` over copies of their features, held by each side's peer, forked into ``peers``."""
+    forked = [(split[0].copy(), *split[1:]) for split in splits]
+    pinned = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, CORES)  # each peer pins itself to the last of these
+    try:
+        for side in sides:
+            peers.enter_context(side.pkg["model"].Peer(side.model, [f[:2] for f in forked]))
+    finally:
+        os.sched_setaffinity(0, pinned)
+    return forked
+
+
+def build(pkgs: list, data: Path, work: Path, peers: contextlib.ExitStack) -> list:
+    """Per model: (name, splits, peer-held splits, eval command arguments, [side A, side B])."""
     a = pkgs[0]
     out = []
     for model in MODELS:
@@ -148,7 +166,8 @@ def build(pkgs: list, data: Path, work: Path) -> list:
         side_b = Side(pkgs[1], run_config(pkgs[1], data, *model), vocab.size, n_classes,
                       tensors)
         argv = eval_argv(side_a, data, work, *model)
-        out.append(("/".join(model), splits, argv, [side_a, side_b]))
+        forked = fork_peers([side_a, side_b], splits, peers)
+        out.append(("/".join(model), splits, forked, argv, [side_a, side_b]))
     return out
 
 
@@ -158,7 +177,7 @@ def measure(models: list, rounds: int) -> dict:
     rng = np.random.default_rng(0)
     for r in range(WARMUP_ROUNDS + rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
-        for model, (train, test), argv, sides in models:
+        for model, (train, test), forked, argv, sides in models:
             feats, qids, labels = train[:3]
             ops = []
             for b in BATCHES:
@@ -167,6 +186,8 @@ def measure(models: list, rounds: int) -> dict:
                 ops.append((f"{model} train step b{b}", "train_step", batch))
             for split in (train, test):
                 ops.append((f"{model} eval pass {len(split[2])}", "eval_pass", split))
+            for split in forked:
+                ops.append((f"{model} eval pass {len(split[2])} peer", "eval_pass", split))
             ops.append((f"{model} eval command", "command", argv))
             for name, method, arg in ops:
                 got = [0.0, 0.0]
@@ -183,11 +204,11 @@ def measure(models: list, rounds: int) -> dict:
 
 
 def report(times: dict, labels: tuple) -> None:
-    print(f"{'operation':<36} {'A ms':>9} {'B ms':>9} {'B/A':>7} {'B won':>7}")
+    print(f"{'operation':<41} {'A ms':>9} {'B ms':>9} {'B/A':>7} {'B won':>7}")
     for name, (ta, tb) in times.items():
         ma, mb = statistics.median(ta), statistics.median(tb)
         won = sum(b < a for a, b in zip(ta, tb))
-        print(f"{name:<36} {1e3 * ma:9.2f} {1e3 * mb:9.2f} {mb / ma:7.3f} "
+        print(f"{name:<41} {1e3 * ma:9.2f} {1e3 * mb:9.2f} {mb / ma:7.3f} "
               f"{won:>3}/{len(ta):<3}")
     print(f"A = {labels[0]}\nB = {labels[1]}")
 
@@ -210,12 +231,12 @@ def main(argv=None) -> int:
     pkgs[0]["autodiff"].keep_heap_resident()
     for pkg in pkgs:
         pkg["model"].SPLIT_BATCH = 1 << 30  # every timed step runs as one part
-    with tempfile.TemporaryDirectory(prefix="vqagpt-ab-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="vqagpt-ab-") as tmp, contextlib.ExitStack() as peers:
         data = args.data
         if data is None:
             data = Path(tmp) / "data"
             pkgs[0]["data"].generate_synthetic(run_config(pkgs[0], data, *MODELS[0]))
-        times = measure(build(pkgs, data, Path(tmp)), args.rounds)
+        times = measure(build(pkgs, data, Path(tmp), peers), args.rounds)
     report(times, (str(args.checkout_a), str(args.checkout_b)))
     return 0
 

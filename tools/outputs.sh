@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Write the outputs that a change claiming no behaviour change must leave
 # byte-identical: the desk corpus, 2-epoch batch-4 and batch-64 desk
-# training runs (the second takes the split train step), eval of both
-# checkpoints (batch 4 also with --rephrased) and a 1-epoch desk ablation,
-# each command's stdout beside its files.
+# training runs (the second takes the split train step), a 2-epoch
+# batch-64 vit_lite/early_vision run (its split step, and evaluation in
+# early_vision order), eval of the three checkpoints (batch 4 and the
+# vit_lite one also with --rephrased) and a 1-epoch desk ablation, each
+# command's stdout beside its files.
 #
 # Usage: tools/outputs.sh <out-dir>
 #
@@ -33,6 +35,8 @@ vqagpt() { python3 -m vqagpt.cli "$@"; }
 
 printf 'epochs = 2\n' > b4.cfg
 printf 'epochs = 2\nbatch_size = 64\n' > b64.cfg
+printf 'epochs = 2\nbatch_size = 64\nvision_backend = vit_lite\norder = early_vision\n' \
+    > vit-ev-b64.cfg
 printf 'epochs = 1\n' > ablate.cfg
 
 vqagpt gen-data --profile desk --data data > gen-data.out
@@ -42,4 +46,8 @@ vqagpt eval --checkpoint b4/model.ckpt --data data --out eval-b4 > eval-b4.out
 vqagpt eval --checkpoint b4/model.ckpt --data data --out eval-b4-rephrased --rephrased \
     > eval-b4-rephrased.out
 vqagpt eval --checkpoint b64/model.ckpt --data data --out eval-b64 > eval-b64.out
+vqagpt train --profile desk --config vit-ev-b64.cfg --data data --out vit-ev-b64 \
+    > train-vit-ev-b64.out
+vqagpt eval --checkpoint vit-ev-b64/model.ckpt --data data --out eval-vit-ev-b64-rephrased \
+    --rephrased > eval-vit-ev-b64-rephrased.out
 vqagpt ablate --profile desk --config ablate.cfg --data data --out ablate > ablate.out
