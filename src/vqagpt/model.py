@@ -54,7 +54,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import ModelConfig
 from .embedding import (
-    WORD_TYPE,
+    VISION_TYPE,
     TokenSequence,
     embed_vision,
     embed_words,
@@ -227,57 +227,42 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None, past=(), 
     return ad.layer_norm(x, p["lnf_g"], p["lnf_b"])
 
 
-def _readout_start(modality: np.ndarray) -> int:
-    """Where the readout segment, the trailing run of the last position's modality, starts."""
-    earlier = np.flatnonzero(modality != modality[-1])
-    return int(earlier[-1]) + 1 if earlier.size else 0
-
-
-def _readout_weights(seq: TokenSequence, batch: int, key_pad=None) -> np.ndarray:
-    """(B, L) pooling weights of the answer head, each row summing to one.
-
-    The readout segment's non-padding positions get equal weight; every
-    other position, padding included, gets exactly zero.
-    """
-    keep = np.zeros((batch, seq.length), dtype=bool)
-    keep[:, _readout_start(seq.modality):] = True
-    if key_pad is not None:
-        keep &= ~np.asarray(key_pad, dtype=bool)
-    count = keep.sum(axis=1, keepdims=True)
-    if np.any(count == 0):
-        raise ValueError("the readout segment holds only padding positions")
-    return keep / count
-
-
 def classify(seq: TokenSequence, model: VQAModel, key_pad=None, past=()) -> ad.Tensor:
     """Class logits from the mean final hidden state over the readout segment.
 
-    See ``_readout_weights`` for which positions are pooled.  A padding
-    position gets weight zero, so the logits never depend on its state.
-    ``past`` and ``key_pad`` are ``decoder_forward``'s; the head pools over
-    zero rows for the past and the cut slots.  Under ``ad.no_grad`` the
-    last block runs only the readout rows, if two or more (numpy takes one
-    row through gemv, which rounds otherwise).
+    The readout segment's non-padding positions get equal weight; every
+    other position, padding included, gets exactly zero, so the logits
+    never depend on a padding position's state.  ``past`` and ``key_pad``
+    are ``decoder_forward``'s; the head pools over zero rows for the past
+    and the cut slots.  Under ``ad.no_grad`` the last block runs only the
+    readout rows, if two or more (numpy takes one row through gemv, which
+    rounds otherwise).
     """
     if seq.length == 0:
         raise ValueError("cannot classify an empty sequence")
     bsz, n_past = seq.embedded.shape[0], past[0].shape[1] if past else 0
-    first = _readout_start(seq.modality)
+    # The readout segment is the trailing run of the last position's modality.
+    earlier = np.flatnonzero(seq.modality != seq.modality[-1])
+    start = first = int(earlier[-1]) + 1 if earlier.size else 0
     if ad.no_grad.recording or seq.length - first < 2:
         first = 0
     h = decoder_forward(seq, model, key_pad, past, first)
     # Made after the forward: an array held across it shifts the heap, and
     # steady train steps fault pages again.
     end = n_past + seq.length
-    weights = _readout_weights(seq, bsz, None if key_pad is None else key_pad[:, n_past:end])
     total = end if key_pad is None else key_pad.shape[1]
+    keep = np.zeros((bsz, total), dtype=bool)
+    keep[:, n_past + start :] = True
+    if key_pad is not None:
+        keep &= ~np.asarray(key_pad, dtype=bool)
+    count = keep.sum(axis=1, keepdims=True)
+    if np.any(count == 0):
+        raise ValueError("the readout segment holds only padding positions")
     if total > h.shape[1]:  # zero rows for the rest: BLAS sums a shorter row otherwise
         d = h.shape[2]
         h = ad.concat([ad.Tensor(np.zeros((bsz, n_past + first, d), h.dtype)), h,
                        ad.Tensor(np.zeros((bsz, total - end, d), h.dtype))], 1)
-        weights = np.concatenate([np.zeros((bsz, n_past)), weights, np.zeros((bsz, total - end))],
-                                 axis=1)
-    pooled = ad.matmul(ad.Tensor(weights.astype(h.dtype)[:, None, :]), h)  # (B, 1, d)
+    pooled = ad.matmul(ad.Tensor((keep / count).astype(h.dtype)[:, None, :]), h)  # (B, 1, d)
     p = model.params
     # The fc layers run on (B, 1, d) rows, one product per sample, so a
     # sample's logits do not depend on how many share its batch.
@@ -300,11 +285,11 @@ def build_sequence(
     return sequence(words_e, vision_e, cfg)
 
 
-def _key_pad(question_ids: np.ndarray, modality: np.ndarray) -> np.ndarray:
-    """(B, L) flags of the padding word positions in a sequence of ``modality``."""
-    key_pad = np.zeros((len(question_ids), len(modality)), dtype=bool)
-    key_pad[:, modality == WORD_TYPE] = np.asarray(question_ids) == PAD_ID
-    return key_pad
+def _key_pad(question_ids: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """(B, n + m) flags of the padding word positions of the full sequence in ``cfg.order``."""
+    words = np.asarray(question_ids) == PAD_ID
+    vision = np.zeros((len(words), cfg.n_tokens), dtype=bool)
+    return np.concatenate([words, vision] if cfg.order == "early_word" else [vision, words], 1)
 
 
 def _shares_questions(cfg: ModelConfig) -> bool:
@@ -329,8 +314,8 @@ class QuestionPrefix:
         words = embed_words(distinct, model.params, cfg)
         blank = np.zeros((len(distinct), cfg.n_tokens, cfg.d), dtype=words.dtype)
         seq = sequence(words, ad.Tensor(blank), cfg)
-        self.modality, self.kv = seq.modality, []
-        decoder_forward(seq, model, _key_pad(distinct, seq.modality), first=seq.length, kv=self.kv)
+        self.kv = []
+        decoder_forward(seq, model, _key_pad(distinct, cfg), first=seq.length, kv=self.kv)
         self.kv = [rows[:, : distinct.shape[1]] for rows in self.kv]
 
     def past(self, question_ids: np.ndarray) -> list:
@@ -352,19 +337,18 @@ def feature_logits(features: np.ndarray, question_ids: np.ndarray, model: VQAMod
     cfg = model.config
     question_ids = np.asarray(question_ids)
     if ad.no_grad.recording or not _shares_questions(cfg):
-        n = width = question_ids.shape[1]
+        n = question_ids.shape[1]
         if not ad.no_grad.recording and cfg.order == "early_vision":
             real = np.flatnonzero((question_ids != PAD_ID).any(axis=0))
             n = real[-1] + 1 if real.size else 1
-        seq = build_sequence(features, question_ids[:, :n], model)
-        uncut = np.append(seq.modality, [WORD_TYPE] * (width - n))
-        return classify(seq, model, key_pad=_key_pad(question_ids, uncut))
-    if prefix is None:
-        prefix = QuestionPrefix(question_ids, model)
-    vision = embed_vision(encode_images(features, cfg, model.params), model.params, cfg)
-    seq = TokenSequence(vision, prefix.modality[question_ids.shape[1]:])
-    return classify(seq, model, _key_pad(question_ids, prefix.modality),
-                    prefix.past(question_ids))
+        seq, past = build_sequence(features, question_ids[:, :n], model), ()
+    else:
+        if prefix is None:
+            prefix = QuestionPrefix(question_ids, model)
+        vision = embed_vision(encode_images(features, cfg, model.params), model.params, cfg)
+        seq = TokenSequence(vision, np.full(cfg.n_tokens, VISION_TYPE, dtype=np.int8))
+        past = prefix.past(question_ids)
+    return classify(seq, model, _key_pad(question_ids, cfg), past)
 
 
 def forward_logits(images: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> ad.Tensor:
@@ -452,8 +436,8 @@ class Peer(contextlib.AbstractContextManager):
     pair numbers, rows, logits and errors.  It is ``model.peer`` until
     ``close``, which stops and reaps it; it also exits on EOF if the parent
     dies.  It pins itself to a core of its own, unpinned if that core is
-    gone.  With ``fork=False``, without ``os.fork``, or beside other threads,
-    its work runs in this process.
+    gone.  With ``fork=False``, without ``os.fork``, beside other threads, or
+    when the fork fails, its work runs in this process.
     """
 
     def __init__(self, model: VQAModel, arrays: list, fork: bool = True):
@@ -466,7 +450,13 @@ class Peer(contextlib.AbstractContextManager):
         # copy every page of older objects that the fork shares; frozen, the
         # objects made so far are left out of collections until ``close``.
         gc.freeze()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to spare: the work runs here
+            self._conn.close()
+            child_end.close()
+            gc.unfreeze()
+            return
         if self.pid == 0:
             self._conn.close()  # so that the parent's death reads as EOF
             self._serve(child_end)

@@ -112,8 +112,6 @@ def tokenize_question(q: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
 
 _CNN_STEM_CH = 16
 _CNN_BANK_CH = 8  # 3 color + 4 edge orientations + 1 laplacian
-# Samples per cnn_lite block under ``ad.no_grad`` (see ``encode_images``).
-NO_GRAD_IMAGE_BLOCK = 16
 
 # Classic 3x3 derivative kernels, scaled so responses stay near input range.
 _KERN_EDGE_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64) / 4.0
@@ -250,29 +248,11 @@ def image_features(imgs: np.ndarray, cfg: ModelKeys, dtype) -> np.ndarray:
     return patches.reshape(x.shape[0], g * g, 3 * p * p)
 
 
-def _cnn_tokens(feats: np.ndarray, cfg: ModelConfig, params: dict) -> ad.Tensor:
-    """cnn_lite's learned stages on (B, 8, S/2, S/2) bank maps -> (B, g*g, token_dim)."""
-    g = cfg.patch_grid
-    x = ad.Tensor(feats)
-    # Stage 1, the frozen bank, ran in image_features; stages 2
-    # (residual pair) and 3 (grid-collapsing conv) are learned.
-    r = ad.gelu(ad.conv2d(x, params["tok.res_a_w"], params["tok.res_a_b"], stride=1, pad=1))
-    r = ad.conv2d(r, params["tok.res_b_w"], params["tok.res_b_b"], stride=1, pad=1)
-    h = ad.gelu(ad.add(x, r))
-    k = (cfg.image_size // 2) // g
-    out = ad.conv2d(h, params["tok.out_w"], params["tok.out_b"], stride=k, pad=0)
-    # (B, token_dim, g, g) -> (B, g*g, token_dim), row-major over the grid
-    out = ad.transpose(out, (0, 2, 3, 1))
-    return ad.reshape(out, (len(feats), g * g, cfg.token_dim))
-
-
 def encode_images(feats: np.ndarray, cfg: ModelConfig, params: dict) -> ad.Tensor:
     """Learned tokenizer stage: ``image_features`` output -> (B, g*g, token_dim).
 
-    Under ``ad.no_grad`` cnn_lite runs ``NO_GRAD_IMAGE_BLOCK`` samples at a
-    time and joins their tokens, so an evaluation chunk's conv activations
-    never exist for the whole chunk at once.  Every product is per sample,
-    so the tokens keep their bits.
+    One path, recording or not; under ``ad.no_grad`` each ``conv2d`` holds
+    one block of its patch rows at a time, never the whole batch's.
     """
     feats = np.asarray(feats)
     if feats.shape[1:] != feature_shape(cfg):
@@ -280,14 +260,20 @@ def encode_images(feats: np.ndarray, cfg: ModelConfig, params: dict) -> ad.Tenso
             f"expected image features of per-sample shape {feature_shape(cfg)}, got "
             f"{feats.shape[1:]}; raw images go through image_features first"
         )
+    x = ad.Tensor(feats)
     if cfg.vision_backend == "cnn_lite":
-        if ad.no_grad.recording:
-            return _cnn_tokens(feats, cfg, params)
-        step = NO_GRAD_IMAGE_BLOCK  # an empty batch still runs one (empty) block
-        blocks = [_cnn_tokens(feats[lo : lo + step], cfg, params).data
-                  for lo in range(0, max(len(feats), 1), step)]
-        return ad.Tensor(np.concatenate(blocks))
-    tokens = ad.linear(ad.Tensor(feats), params["tok.proj_w"], params["tok.proj_b"])
+        g = cfg.patch_grid
+        # Stage 1, the frozen bank, ran in image_features; stages 2
+        # (residual pair) and 3 (grid-collapsing conv) are learned.
+        r = ad.gelu(ad.conv2d(x, params["tok.res_a_w"], params["tok.res_a_b"], stride=1, pad=1))
+        r = ad.conv2d(r, params["tok.res_b_w"], params["tok.res_b_b"], stride=1, pad=1)
+        h = ad.gelu(ad.add(x, r))
+        k = (cfg.image_size // 2) // g
+        out = ad.conv2d(h, params["tok.out_w"], params["tok.out_b"], stride=k, pad=0)
+        # (B, token_dim, g, g) -> (B, g*g, token_dim), row-major over the grid
+        out = ad.transpose(out, (0, 2, 3, 1))
+        return ad.reshape(out, (len(feats), g * g, cfg.token_dim))
+    tokens = ad.linear(x, params["tok.proj_w"], params["tok.proj_b"])
     if cfg.vit_internal_pose:
         tokens = ad.add(tokens, params["tok.pose"])  # broadcasts over the batch
     return tokens

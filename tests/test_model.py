@@ -1,5 +1,6 @@
 """Decoder stack, classification head, train step, and checkpoint format."""
 
+import gc
 import os
 import threading
 import time
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 
 import vqagpt.autodiff as ad
+import vqagpt.cli as cli
 import vqagpt.model as model_module
+from conftest import mini_run_config
 from vqagpt import kernels
 from vqagpt.autodiff import AdamState, Tensor
-from vqagpt.config import ModelConfig, RunConfig, apply_profile
+from vqagpt.config import ModelConfig, RunConfig, apply_profile, serialize_config
 from vqagpt.embedding import VISION_TYPE, WORD_TYPE, TokenSequence
 from vqagpt.errors import CheckpointError, ConfigError, DataError, NonFiniteError
 from vqagpt.model import (
@@ -316,11 +319,12 @@ def test_no_grad_logits_equal_the_recorded_forward_bit_for_bit(order, backend, d
 
 
 def test_no_grad_desk_chunk_holds_no_whole_chunk_patch_matrices():
-    # A 64-sample evaluation chunk of the desk model: the tokenizer runs in
-    # blocks, so its conv patch rows and activations never exist for the
-    # whole chunk.  Whole-chunk patch matrices alone take 4.7 and 9.4 MB,
-    # and after an eval command forks its peer every page it writes is
-    # copied, so the traced peak is bounded at 5 MiB.
+    # A 64-sample evaluation chunk of the desk model: each conv2d gathers
+    # and multiplies its patch rows block by block (CONV_BLOCK_ROWS), so its
+    # patch matrix never exists for the whole chunk.  Whole-chunk patch
+    # matrices alone take 4.7 and 9.4 MB, and after an eval command forks
+    # its peer every page it writes is copied, so the traced peak is
+    # bounded at 5 MiB.
     keys = apply_profile(RunConfig(), "desk")
     m = init_params(keys.to_model_config(vocab_size=30, num_classes=11), seed=62,
                     dtype=np.float32)
@@ -696,6 +700,36 @@ def test_no_peer_is_forked_beside_another_thread():
         release.set()
         other.join(10)
     assert not other.is_alive()
+
+
+def test_a_failed_fork_runs_the_peers_work_in_process(mini_corpus, tmp_path, capsys, monkeypatch):
+    # With no process to spare, os.fork raises; the eval command then runs
+    # the peer's chunks itself, exits 0 with the report of a forked run, and
+    # leaves no frozen collector behind.
+    cfg = mini_run_config(mini_corpus["root"], tmp_path / "train", epochs=0)
+    (tmp_path / "c.cfg").write_text(serialize_config(cfg))
+    assert cli.main(["train", "--config", str(tmp_path / "c.cfg")]) == 0
+    argv = ["eval", "--checkpoint", str(tmp_path / "train" / cli.CHECKPOINT_NAME),
+            "--data", str(mini_corpus["root"]), "--out", str(tmp_path / "eval")]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    forked = capsys.readouterr().out
+    frozen, forks, models = gc.get_freeze_count(), [], []
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError("no process to spare")
+
+    def restore(*args, real=cli.restore_model):
+        models.append(real(*args))
+        return models[-1]
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(cli, "restore_model", restore)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == forked
+    assert forks == [1] and models[0].peer is None
+    assert gc.get_freeze_count() == frozen
 
 
 def test_the_replica_shares_the_parameters_and_owns_its_gradients():

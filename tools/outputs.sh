@@ -3,9 +3,12 @@
 # byte-identical: the desk corpus, 2-epoch batch-4 and batch-64 desk
 # training runs (the second takes the split train step), a 2-epoch
 # batch-64 vit_lite/early_vision run (its split step, and evaluation in
-# early_vision order), eval of the three checkpoints (batch 4 and the
-# vit_lite one also with --rephrased) and a 1-epoch desk ablation, each
-# command's stdout beside its files.
+# early_vision order), a 1-epoch batch-64 desk run in f64 (its
+# metrics.csv prints the validation loss in full, so f64 evaluation
+# logits are covered beside the f32 ones),
+# eval of the four checkpoints (batch 4, vit_lite and f64 also with
+# --rephrased) and a 1-epoch desk ablation, each command's stdout beside
+# its files.
 #
 # Usage: tools/outputs.sh <out-dir>
 #
@@ -37,6 +40,7 @@ printf 'epochs = 2\n' > b4.cfg
 printf 'epochs = 2\nbatch_size = 64\n' > b64.cfg
 printf 'epochs = 2\nbatch_size = 64\nvision_backend = vit_lite\norder = early_vision\n' \
     > vit-ev-b64.cfg
+printf 'epochs = 1\nbatch_size = 64\nprecision = f64\n' > f64-b64.cfg
 printf 'epochs = 1\n' > ablate.cfg
 
 vqagpt gen-data --profile desk --data data > gen-data.out
@@ -50,4 +54,7 @@ vqagpt train --profile desk --config vit-ev-b64.cfg --data data --out vit-ev-b64
     > train-vit-ev-b64.out
 vqagpt eval --checkpoint vit-ev-b64/model.ckpt --data data --out eval-vit-ev-b64-rephrased \
     --rephrased > eval-vit-ev-b64-rephrased.out
+vqagpt train --profile desk --config f64-b64.cfg --data data --out f64-b64 > train-f64-b64.out
+vqagpt eval --checkpoint f64-b64/model.ckpt --data data --out eval-f64-b64-rephrased \
+    --rephrased > eval-f64-b64-rephrased.out
 vqagpt ablate --profile desk --config ablate.cfg --data data --out ablate > ablate.out
