@@ -7,8 +7,11 @@ accumulates into ``.grad``, so a value used in several places receives the
 sum of all its downstream contributions.
 
 The decoder runs on two fused ops: ``linear`` (x @ W + b, one node per
-projection) and ``attention`` (a block's attention core, one node).  The
-unfused ``softmax``, ``mul`` and ``getitem`` serve tests and the tracer.
+projection) and ``attention`` (a block's attention core, one node).
+``getitem`` drops the rows before the readout from the last block
+(``model.decoder_forward``).  The unfused ``softmax``, ``mul``, ``sum_``
+and ``mean`` serve only tests, and they, ``sub`` and ``neg`` stay because
+the span tracer in ``perfbench/spans.py`` wraps every op it names.
 
 Design constraints, in rough order of importance:
 

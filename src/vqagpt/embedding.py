@@ -18,6 +18,10 @@ tests can re-derive any embedded row bitwise from the tables.  Toggling
 ``use_type_embedding`` off drops the type addend for both modalities,
 leaving a two-addend sum.
 
+``sequence`` joins the two segments into plain rows in ``cfg.order``.  No
+per-position tag goes with them: a reader of the layout (the answer
+head's readout rows, the padding flags) takes it from the config.
+
 The tables are the ``emb.*`` entries of a params dict: the model's
 ``params``, or the dict ``init_embedding_tables`` returns.  The embed
 functions take that dict and read the tables by name.
@@ -30,8 +34,6 @@ has no position table of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -39,18 +41,6 @@ from .config import ModelConfig
 
 WORD_TYPE = 0
 VISION_TYPE = 1
-
-
-@dataclass
-class TokenSequence:
-    """Embedded input rows plus a per-position modality tag (0 word, 1 vision)."""
-
-    embedded: ad.Tensor  # (..., L, d); leading batch dim optional
-    modality: np.ndarray  # (L,) int8
-
-    @property
-    def length(self) -> int:
-        return len(self.modality)
 
 
 def init_embedding_tables(cfg: ModelConfig, rng: np.random.Generator, dtype) -> dict:
@@ -114,8 +104,8 @@ def embed_vision(tokens: ad.Tensor, params: dict, cfg: ModelConfig) -> ad.Tensor
     return _add_base(tokens, params, cfg, VISION_TYPE, pose_ids)
 
 
-def sequence(words_e: ad.Tensor, vision_e: ad.Tensor, cfg: ModelConfig) -> TokenSequence:
-    """Concatenate the two embedded segments in the configured order.
+def sequence(words_e: ad.Tensor, vision_e: ad.Tensor, cfg: ModelConfig) -> ad.Tensor:
+    """Concatenate the two embedded segments (..., n, d), (..., m, d) in the configured order.
 
     Pure reordering: no row is re-embedded or altered by concatenation.
     """
@@ -124,13 +114,5 @@ def sequence(words_e: ad.Tensor, vision_e: ad.Tensor, cfg: ModelConfig) -> Token
             f"segment width mismatch: words {words_e.shape[-1]}, "
             f"vision {vision_e.shape[-1]}"
         )
-    n = words_e.shape[-2]
-    m = vision_e.shape[-2]
-    axis = words_e.ndim - 2
-    if cfg.order == "early_word":
-        embedded = ad.concat([words_e, vision_e], axis=axis)
-        modality = np.array([WORD_TYPE] * n + [VISION_TYPE] * m, dtype=np.int8)
-    else:
-        embedded = ad.concat([vision_e, words_e], axis=axis)
-        modality = np.array([VISION_TYPE] * m + [WORD_TYPE] * n, dtype=np.int8)
-    return TokenSequence(embedded=embedded, modality=modality)
+    pair = [words_e, vision_e] if cfg.order == "early_word" else [vision_e, words_e]
+    return ad.concat(pair, axis=words_e.ndim - 2)

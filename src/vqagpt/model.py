@@ -13,7 +13,10 @@ The answer head reads the mean final hidden state over the non-padding
 positions of the segment that comes last: the vision tokens in early_word
 order, the word tokens in early_vision order.  Under the causal mask these
 are the only positions that see both the question and the image.  The
-pooled state goes through linear -> GELU -> linear to class logits.
+sequence is plain (B, L, d) rows, so ``classify`` finds that segment from
+``cfg.order``, the vision token count m and the width of the padding
+flags.  The pooled state goes through linear -> GELU -> linear to class
+logits.
 
 Under ``ad.no_grad`` (evaluation) the last block runs only the readout
 rows.  In early_word order each distinct question's word rows run once
@@ -53,14 +56,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ModelConfig
-from .embedding import (
-    VISION_TYPE,
-    TokenSequence,
-    embed_vision,
-    embed_words,
-    init_embedding_tables,
-    sequence,
-)
+from .embedding import embed_vision, embed_words, init_embedding_tables, sequence
 from .errors import CheckpointError, NonFiniteError
 from .tokenizers import (
     PAD_ID,
@@ -172,7 +168,7 @@ def _build_params(config: ModelConfig, rng, dtype) -> VQAModel:
     return VQAModel(config, params)
 
 
-def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None, past=(), first=0,
+def decoder_forward(x: ad.Tensor, model: VQAModel, key_pad: np.ndarray, past=(), first=0,
                     kv=None) -> ad.Tensor:
     """Run the block stack over (B, L, d) rows; returns the final states of rows ``first`` on.
 
@@ -181,32 +177,26 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None, past=(), 
     give only keys and values in the last block.  ``kv``, a list, receives
     each block's qkv rows.
 
-    key_pad, when given, is a boolean (B, T) array marking padding
-    positions whose keys every query must ignore; queries at those
-    positions still run, and the answer head gives them weight zero.  T is
-    P + L, or more when slots were cut from the end of the sequence: those
-    last positions must be padding in every row, and each block appends
-    zero qkv rows for them, so every softmax and value mix spans all T keys
-    bit for bit as in the uncut sequence, and no query runs there.
+    key_pad is a boolean (B, T) array marking padding positions whose keys
+    every query must ignore; queries at those positions still run, and the
+    answer head gives them weight zero.  T is P + L, or more when slots were
+    cut from the end of the sequence: those last positions must be padding
+    in every row, and each block appends zero qkv rows for them, so every
+    softmax and value mix spans all T keys bit for bit as in the uncut
+    sequence, and no query runs there.
     """
     cfg = model.config
     p = model.params
-    x = seq.embedded
-    if x.ndim != 3:
-        raise ValueError(f"decoder_forward expects (B, L, d) rows, got shape {x.shape}")
     bsz, length, d = x.shape
     n_past = past[0].shape[1] if past else 0
     end = n_past + length
-    total = end if key_pad is None else np.shape(key_pad)[1]
+    total = key_pad.shape[1]
+    if key_pad.shape[0] != bsz or total < end or not key_pad[:, end:].all():
+        raise ValueError(
+            f"key_pad shape {key_pad.shape} is not batch {(bsz, end)} and cut padding slots"
+        )
     mask = np.triu(np.full((total, total), MASK_VALUE, dtype=x.dtype), k=1)[n_past:end]
-    if key_pad is not None:
-        key_pad = np.asarray(key_pad, dtype=bool)
-        if key_pad.shape[0] != bsz or total < end or not key_pad[:, end:].all():
-            raise ValueError(
-                f"key_pad shape {key_pad.shape} is not batch {(bsz, end)} and cut padding slots"
-            )
-        pad_add = np.where(key_pad, MASK_VALUE, 0.0).astype(x.dtype)
-        mask = mask[None, None] + pad_add[:, None, None, :]
+    mask = mask + np.where(key_pad, MASK_VALUE, 0.0).astype(x.dtype)[:, None, None, :]
     cut = [ad.Tensor(np.zeros((bsz, total - end, 3 * d), x.dtype))] if total > end else []
     for i in range(cfg.n_layers):
         h = ad.layer_norm(x, p[f"h{i}.ln1_g"], p[f"h{i}.ln1_b"])
@@ -227,34 +217,29 @@ def decoder_forward(seq: TokenSequence, model: VQAModel, key_pad=None, past=(), 
     return ad.layer_norm(x, p["lnf_g"], p["lnf_b"])
 
 
-def classify(seq: TokenSequence, model: VQAModel, key_pad=None, past=()) -> ad.Tensor:
-    """Class logits from the mean final hidden state over the readout segment.
+def classify(x: ad.Tensor, model: VQAModel, key_pad: np.ndarray, past=()) -> ad.Tensor:
+    """Class logits from the mean final hidden state over the readout rows.
 
-    The readout segment's non-padding positions get equal weight; every
-    other position, padding included, gets exactly zero, so the logits
-    never depend on a padding position's state.  ``past`` and ``key_pad``
-    are ``decoder_forward``'s; the head pools over zero rows for the past
-    and the cut slots.  Under ``ad.no_grad`` the last block runs only the
-    readout rows, if two or more (numpy takes one row through gemv, which
-    rounds otherwise).
+    ``x``, ``key_pad`` and ``past`` are ``decoder_forward``'s.  Of the T
+    slots of ``key_pad``, the readout rows are the last m (the vision
+    tokens) in early_word order, and slots m to T (the words) in
+    early_vision order.  Their non-padding positions get equal weight;
+    every other position, padding included, gets exactly zero, so the
+    logits never depend on a padding position's state.  The head pools
+    over zero rows for the past and the cut slots.  Under ``ad.no_grad``
+    the last block runs only the readout rows, if two or more (numpy takes
+    one row through gemv, which rounds otherwise).
     """
-    if seq.length == 0:
-        raise ValueError("cannot classify an empty sequence")
-    bsz, n_past = seq.embedded.shape[0], past[0].shape[1] if past else 0
-    # The readout segment is the trailing run of the last position's modality.
-    earlier = np.flatnonzero(seq.modality != seq.modality[-1])
-    start = first = int(earlier[-1]) + 1 if earlier.size else 0
-    if ad.no_grad.recording or seq.length - first < 2:
-        first = 0
-    h = decoder_forward(seq, model, key_pad, past, first)
+    cfg = model.config
+    bsz, n_past = x.shape[0], past[0].shape[1] if past else 0
+    end, total = n_past + x.shape[1], key_pad.shape[1]
+    start = total - cfg.n_tokens if cfg.order == "early_word" else cfg.n_tokens
+    first = start - n_past if not ad.no_grad.recording and end - start >= 2 else 0
+    h = decoder_forward(x, model, key_pad, past, first)
     # Made after the forward: an array held across it shifts the heap, and
     # steady train steps fault pages again.
-    end = n_past + seq.length
-    total = end if key_pad is None else key_pad.shape[1]
-    keep = np.zeros((bsz, total), dtype=bool)
-    keep[:, n_past + start :] = True
-    if key_pad is not None:
-        keep &= ~np.asarray(key_pad, dtype=bool)
+    keep = ~key_pad
+    keep[:, :start] = False
     count = keep.sum(axis=1, keepdims=True)
     if np.any(count == 0):
         raise ValueError("the readout segment holds only padding positions")
@@ -268,13 +253,13 @@ def classify(seq: TokenSequence, model: VQAModel, key_pad=None, past=()) -> ad.T
     # sample's logits do not depend on how many share its batch.
     mid = ad.gelu(ad.linear(pooled, p["head.fc1_w"], p["head.fc1_b"]))
     logits = ad.linear(mid, p["head.fc2_w"], p["head.fc2_b"])
-    return ad.reshape(logits, (bsz, model.config.num_classes))
+    return ad.reshape(logits, (bsz, cfg.num_classes))
 
 
 def build_sequence(
     features: np.ndarray, question_ids: np.ndarray, model: VQAModel
-) -> TokenSequence:
-    """Image features + question ids (B, n) -> embedded TokenSequence.
+) -> ad.Tensor:
+    """Image features + question ids (B, n) -> the embedded (B, n + m, d) rows.
 
     ``features`` is ``tokenizers.image_features`` of the (B, H, W, 3) images.
     """
@@ -313,9 +298,9 @@ class QuestionPrefix:
         distinct = distinct.reshape(len(keys), question_ids.shape[1])
         words = embed_words(distinct, model.params, cfg)
         blank = np.zeros((len(distinct), cfg.n_tokens, cfg.d), dtype=words.dtype)
-        seq = sequence(words, ad.Tensor(blank), cfg)
+        x = sequence(words, ad.Tensor(blank), cfg)
         self.kv = []
-        decoder_forward(seq, model, _key_pad(distinct, cfg), first=seq.length, kv=self.kv)
+        decoder_forward(x, model, _key_pad(distinct, cfg), first=x.shape[1], kv=self.kv)
         self.kv = [rows[:, : distinct.shape[1]] for rows in self.kv]
 
     def past(self, question_ids: np.ndarray) -> list:
@@ -341,14 +326,13 @@ def feature_logits(features: np.ndarray, question_ids: np.ndarray, model: VQAMod
         if not ad.no_grad.recording and cfg.order == "early_vision":
             real = np.flatnonzero((question_ids != PAD_ID).any(axis=0))
             n = real[-1] + 1 if real.size else 1
-        seq, past = build_sequence(features, question_ids[:, :n], model), ()
+        x, past = build_sequence(features, question_ids[:, :n], model), ()
     else:
         if prefix is None:
             prefix = QuestionPrefix(question_ids, model)
-        vision = embed_vision(encode_images(features, cfg, model.params), model.params, cfg)
-        seq = TokenSequence(vision, np.full(cfg.n_tokens, VISION_TYPE, dtype=np.int8))
+        x = embed_vision(encode_images(features, cfg, model.params), model.params, cfg)
         past = prefix.past(question_ids)
-    return classify(seq, model, _key_pad(question_ids, cfg), past)
+    return classify(x, model, _key_pad(question_ids, cfg), past)
 
 
 def forward_logits(images: np.ndarray, question_ids: np.ndarray, model: VQAModel) -> ad.Tensor:

@@ -31,7 +31,6 @@ from vqagpt.data import load_dataset
 from vqagpt.embedding import embed_vision, embed_words, init_embedding_tables
 from vqagpt.metrics import compute_metrics
 from vqagpt.model import (
-    TokenSequence,
     build_sequence,
     decoder_forward,
     forward_logits,
@@ -159,19 +158,18 @@ def test_2_causality_suite(capfd):
         )
         feats = image_features(images, model.config, np.float64)
         seq = build_sequence(feats, qids, model)
+        no_pad = np.zeros(seq.shape[:2], dtype=bool)
         with ad.no_grad():
-            h_base = decoder_forward(seq, model).data
-        length = seq.length
+            h_base = decoder_forward(seq, model, no_pad).data
+        length = seq.shape[1]
         for _ in range(per_order):
             i = int(rng.integers(0, length - 1))
-            edited = seq.embedded.data.copy()
+            edited = seq.data.copy()
             edited[:, i + 1 :, :] += rng.standard_normal(
                 edited[:, i + 1 :, :].shape
             )
             with ad.no_grad():
-                h_pert = decoder_forward(
-                    TokenSequence(ad.Tensor(edited), seq.modality), model
-                ).data
+                h_pert = decoder_forward(ad.Tensor(edited), model, no_pad).data
             assert np.array_equal(h_base[:, : i + 1], h_pert[:, : i + 1]), (
                 f"{order}: hidden state before position {i + 1} changed"
             )
@@ -187,8 +185,10 @@ def test_2_causality_suite(capfd):
         with ad.no_grad():
             feats_a = image_features(img_a, model.config, np.float64)
             feats_b = image_features(img_b, model.config, np.float64)
-            h_a = decoder_forward(build_sequence(feats_a, qids, model), model).data
-            h_b = decoder_forward(build_sequence(feats_b, qids, model), model).data
+            seq_a = build_sequence(feats_a, qids, model)
+            no_pad = np.zeros(seq_a.shape[:2], dtype=bool)
+            h_a = decoder_forward(seq_a, model, no_pad).data
+            h_b = decoder_forward(build_sequence(feats_b, qids, model), model, no_pad).data
         assert np.array_equal(h_a[:, :n_words], h_b[:, :n_words]), (
             f"trial {trial}: word hidden states moved with the image"
         )

@@ -137,8 +137,8 @@ def test_actual_pose_ignores_word_count_offset():
     t = make_tables(seed=6)
     cfg = seq_cfg(vision_pose_mode="actual")
     v = embed_vision(vision_rows(t, 3), t, cfg)
-    a = sequence(embed_words(np.arange(2), t, cfg), v, cfg).embedded.data[2:]
-    b = sequence(embed_words(np.arange(7), t, cfg), v, cfg).embedded.data[7:]
+    a = sequence(embed_words(np.arange(2), t, cfg), v, cfg).data[2:]
+    b = sequence(embed_words(np.arange(7), t, cfg), v, cfg).data[7:]
     assert np.array_equal(a, b)
 
 
@@ -200,30 +200,29 @@ def embedded_pair(t, n=2, m=3):
     return w, v
 
 
-def test_sequence_early_word_tags():
+def test_sequence_early_word_rows():
     t = make_tables(seed=10)
     w, v = embedded_pair(t)
-    ts = sequence(w, v, seq_cfg(order="early_word"))
-    assert ts.modality.tolist() == [WORD_TYPE] * 2 + [VISION_TYPE] * 3
-    assert np.array_equal(ts.embedded.data[:2], w.data)
-    assert np.array_equal(ts.embedded.data[2:], v.data)
-    assert ts.length == 5
+    rows = sequence(w, v, seq_cfg(order="early_word")).data
+    assert rows.shape == (5, 6)
+    assert np.array_equal(rows[:2], w.data)
+    assert np.array_equal(rows[2:], v.data)
 
 
-def test_sequence_early_vision_tags():
+def test_sequence_early_vision_rows():
     t = make_tables(seed=11)
     w, v = embedded_pair(t)
-    ts = sequence(w, v, seq_cfg(order="early_vision"))
-    assert ts.modality.tolist() == [VISION_TYPE] * 3 + [WORD_TYPE] * 2
-    assert np.array_equal(ts.embedded.data[:3], v.data)
-    assert np.array_equal(ts.embedded.data[3:], w.data)
+    rows = sequence(w, v, seq_cfg(order="early_vision")).data
+    assert rows.shape == (5, 6)
+    assert np.array_equal(rows[:3], v.data)
+    assert np.array_equal(rows[3:], w.data)
 
 
 def test_sequence_orders_are_row_permutations():
     t = make_tables(seed=12)
     w, v = embedded_pair(t)
-    a = sequence(w, v, seq_cfg(order="early_word")).embedded.data
-    b = sequence(w, v, seq_cfg(order="early_vision")).embedded.data
+    a = sequence(w, v, seq_cfg(order="early_word")).data
+    b = sequence(w, v, seq_cfg(order="early_vision")).data
     key = lambda m: m[np.lexsort(m.T[::-1])]
     assert np.array_equal(key(a), key(b))
 

@@ -17,7 +17,6 @@ from conftest import mini_run_config
 from vqagpt import kernels
 from vqagpt.autodiff import AdamState, Tensor
 from vqagpt.config import ModelConfig, RunConfig, apply_profile, serialize_config
-from vqagpt.embedding import VISION_TYPE, WORD_TYPE, TokenSequence
 from vqagpt.errors import CheckpointError, ConfigError, DataError, NonFiniteError
 from vqagpt.model import (
     Peer,
@@ -61,9 +60,12 @@ def small_config(**kw):
 
 def raw_sequence(rng, length, d, dtype=np.float64):
     # one sample: (1, length, d)
-    emb = Tensor(rng.standard_normal((1, length, d)).astype(dtype), requires_grad=True)
-    tags = np.array([WORD_TYPE] * length, dtype=np.int8)
-    return TokenSequence(embedded=emb, modality=tags)
+    return Tensor(rng.standard_normal((1, length, d)).astype(dtype), requires_grad=True)
+
+
+def no_pad(x):
+    """key_pad flags for rows ``x`` of which none is padding."""
+    return np.zeros(x.shape[:2], dtype=bool)
 
 
 def layer_norm_ref(x, g, b, eps=1e-5):
@@ -142,10 +144,10 @@ def test_single_token_attention_is_value_projection():
     m = init_params(cfg, seed=1, dtype=np.float64)
     rng = np.random.default_rng(2)
     seq = raw_sequence(rng, 1, cfg.d)
-    got = decoder_forward(seq, m).data[0]
+    got = decoder_forward(seq, m, no_pad(seq)).data[0]
 
     p = {k: v.data for k, v in m.params.items()}
-    x = seq.embedded.data[0]
+    x = seq.data[0]
     h = layer_norm_ref(x, p["h0.ln1_g"], p["h0.ln1_b"])
     qkv = h @ p["h0.qkv_w"] + p["h0.qkv_b"]
     v = qkv[:, 2 * cfg.d :]  # attention over one token returns v unchanged
@@ -162,20 +164,13 @@ def test_causal_mask_blocks_future_positions_exactly():
     m = init_params(cfg, seed=5, dtype=np.float64)
     rng = np.random.default_rng(6)
     base = rng.standard_normal((7, cfg.d))
-    out_a = decoder_forward(raw_sequence_from(base), m).data[0]
+    out_a = decoder_forward(Tensor(base[None]), m, no_pad(base[None])).data[0]
     for j in (1, 4, 6):
         bumped = base.copy()
         bumped[j] += rng.standard_normal(cfg.d)
-        out_b = decoder_forward(raw_sequence_from(bumped), m).data[0]
+        out_b = decoder_forward(Tensor(bumped[None]), m, no_pad(bumped[None])).data[0]
         assert np.array_equal(out_a[:j], out_b[:j])  # |delta| = 0, not just small
         assert not np.array_equal(out_a[j], out_b[j])
-
-
-def raw_sequence_from(arr):
-    emb = Tensor(np.asarray(arr, dtype=np.float64)[None])
-    return TokenSequence(
-        embedded=emb, modality=np.zeros(arr.shape[0], dtype=np.int8)
-    )
 
 
 def test_all_zero_parameters_give_zero_output():
@@ -184,9 +179,10 @@ def test_all_zero_parameters_give_zero_output():
     for t in m.params.values():
         t.data[...] = 0.0
     rng = np.random.default_rng(8)
-    out = decoder_forward(raw_sequence(rng, 5, cfg.d), m).data
+    seq = raw_sequence(rng, 5, cfg.d)
+    out = decoder_forward(seq, m, no_pad(seq)).data
     assert np.all(out == 0.0)
-    logits = classify(raw_sequence(rng, 5, cfg.d), m).data
+    logits = classify(seq, m, no_pad(seq)).data
     assert np.all(logits == 0.0)
 
 
@@ -197,10 +193,11 @@ def test_decoder_runs_past_the_pose_rows_and_vision_slots():
     cfg = small_config(max_pos=4)
     m = init_params(cfg, seed=0, dtype=np.float64)
     seq = raw_sequence(np.random.default_rng(9), 12, cfg.d)
-    out = decoder_forward(seq, m).data
+    out = decoder_forward(seq, m, no_pad(seq)).data
     assert out.shape == (1, 12, cfg.d) and np.all(np.isfinite(out))
-    prefix = TokenSequence(embedded=Tensor(seq.embedded.data[:, :8]), modality=seq.modality[:8])
-    np.testing.assert_allclose(out[:, :8], decoder_forward(prefix, m).data, rtol=0, atol=1e-12)
+    prefix = Tensor(seq.data[:, :8])
+    np.testing.assert_allclose(out[:, :8], decoder_forward(prefix, m, no_pad(prefix)).data,
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +208,48 @@ def test_logits_length_follows_num_classes():
     cfg = small_config(num_classes=18)
     m = init_params(cfg, seed=10, dtype=np.float64)
     rng = np.random.default_rng(11)
-    logits = classify(raw_sequence(rng, 3, cfg.d), m).data[0]
+    seq = raw_sequence(rng, 6, cfg.d)  # 2 word rows, then the 4 vision rows
+    logits = classify(seq, m, no_pad(seq)).data[0]
     assert logits.shape == (18,)
     assert np.all(np.isfinite(logits))
     probs = softmax_reference(logits)
     assert abs(probs.sum() - 1.0) < 1e-6
 
 
-def test_readout_position_modality_per_order():
-    rng = np.random.default_rng(12)
-    imgs = rng.random((2, 8, 8, 3))
-    qids = np.array([[2, 3, 0], [4, 5, 6]])
-    for order, want_last in (("early_word", VISION_TYPE), ("early_vision", WORD_TYPE)):
-        cfg = small_config(order=order)
-        m = init_params(cfg, seed=13, dtype=np.float64)
-        seq = build_sequence(image_features(imgs, cfg, np.float64), qids, m)
-        assert seq.modality[-1] == want_last
-        assert seq.length == 3 + 4
+@pytest.mark.parametrize("patch_grid", [2, 1])
+@pytest.mark.parametrize("order", ["early_word", "early_vision"])
+def test_classify_pools_the_real_rows_of_the_trailing_segment(order, patch_grid):
+    # classify finds its readout rows from the order, the m vision slots and
+    # the key_pad width alone.  Oracle: the head applied to
+    # the mean final state over the rows the layout implies, the m vision
+    # rows after the n word slots (early_word) or the real word rows after
+    # the m vision rows (early_vision).  It must hold for the recorded
+    # forward and under no_grad, where early_word runs the QuestionPrefix
+    # path (the n word slots are past) and early_vision cuts the id slots
+    # that are padding in every row; and for m = 1, whose one-row readout
+    # runs the full sequence.
+    cfg = small_config(order=order, patch_grid=patch_grid)
+    m = init_params(cfg, seed=14, dtype=np.float64)
+    rng = np.random.default_rng(15)
+    feats = image_features(rng.random((3, 8, 8, 3)), cfg, np.float64)
+    qids = np.array([[2, 3, 4, PAD_ID, PAD_ID, PAD_ID], [5, 6, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+                     [7, 8, 2, 3, PAD_ID, PAD_ID]])
+    n, n_vision = qids.shape[1], cfg.n_tokens
+    key_pad = model_module._key_pad(qids, cfg)
+    seq = build_sequence(feats, qids, m)
+    states = decoder_forward(seq, m, key_pad).data
+    if order == "early_word":
+        rows = [np.arange(n, n + n_vision)] * len(qids)
+    else:
+        rows = [n_vision + np.flatnonzero(q != PAD_ID) for q in qids]
+    pooled = np.stack([states[b, r].mean(axis=0) for b, r in enumerate(rows)])
+    p = {k: v.data for k, v in m.params.items()}
+    want = gelu_reference(pooled @ p["head.fc1_w"] + p["head.fc1_b"]) @ p["head.fc2_w"]
+    want += p["head.fc2_b"]
+    np.testing.assert_allclose(classify(seq, m, key_pad).data, want, rtol=1e-12, atol=1e-14)
+    with ad.no_grad():
+        got = feature_logits(feats, qids, m).data
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_early_vision_logits_ignore_padding_positions():
@@ -243,18 +265,17 @@ def test_early_vision_logits_ignore_padding_positions():
         [np.zeros((2, n_vision), dtype=bool), qids == PAD_ID], axis=1
     )
     seq = build_sequence(image_features(imgs, cfg, np.float64), qids, m)
-    assert seq.modality[-1] == WORD_TYPE
     with ad.no_grad():
         base = classify(seq, m, key_pad=key_pad).data
         assert np.array_equal(base, forward_logits(imgs, qids, m).data)
-        bumped = seq.embedded.data.copy()
+        bumped = seq.data.copy()
         bumped[key_pad] += rng.standard_normal((int(key_pad.sum()), cfg.d))
-        got = classify(TokenSequence(Tensor(bumped), seq.modality), m, key_pad=key_pad).data
+        got = classify(Tensor(bumped), m, key_pad=key_pad).data
         assert np.array_equal(got, base)  # bitwise, not just close
         # a real word position does move the logits, so the check has teeth
-        moved = seq.embedded.data.copy()
+        moved = seq.data.copy()
         moved[:, n_vision] += 1.0
-        other = classify(TokenSequence(Tensor(moved), seq.modality), m, key_pad=key_pad).data
+        other = classify(Tensor(moved), m, key_pad=key_pad).data
         assert not np.array_equal(other, base)
         # a question that is all padding leaves nothing to pool
         blank = np.full_like(qids, PAD_ID)
@@ -289,6 +310,10 @@ def test_no_grad_logits_equal_the_recorded_forward_bit_for_bit(order, backend, d
     # order the id slots that are padding in every row are cut, so batches
     # whose questions are all shorter than the 12 slots, of one length or
     # of several, and of one word (a one-row readout again), must match too.
+    # Keep the f64 cases: a head that pools without the zero rows for the
+    # past and cut slots gives the same f32 bytes here, and no run of
+    # tools/outputs.sh (its f64 desk run included) changes either, so only
+    # the f64 early_vision cases of this test catch it.
     rng = np.random.default_rng(60)
     base = dict(d=64, n_layers=2, n_heads=4, mlp_ratio=4, max_pos=64, vocab_size=30,
                 num_classes=11, image_size=16, patch_grid=2, token_dim=64, order=order,
