@@ -9,9 +9,10 @@ sum of all its downstream contributions.
 The decoder runs on two fused ops: ``linear`` (x @ W + b, one node per
 projection) and ``attention`` (a block's attention core, one node).
 ``getitem`` drops the rows before the readout from the last block
-(``model.decoder_forward``).  The unfused ``softmax``, ``mul``, ``sum_``
-and ``mean`` serve only tests, and they, ``sub`` and ``neg`` stay because
-the span tracer in ``perfbench/spans.py`` wraps every op it names.
+(``model.decoder_forward``).  The unfused ``softmax``, ``mul``, ``sum_``,
+``mean`` and ``transpose`` serve only tests, and they, ``sub`` and ``neg``
+stay because the span tracer in ``perfbench/spans.py`` wraps every op it
+names.
 
 Design constraints, in rough order of importance:
 
@@ -512,15 +513,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation as a channels-last patch gather and a GEMM.
+    """2-D cross-correlation of channels-last maps as a patch gather and a GEMM.
 
-    x: (B, C_in, H, W), w: (C_out, C_in, kh, kw), b: (C_out,); the output is
-    (B, C_out, OH, OW).  The channels-last input is padded once; then, block
-    by block of ``CONV_BLOCK_ROWS`` patch rows, ``kernels.im2col`` gathers
-    the rows and one GEMM per sample meets them with the weight permuted to
-    (C_out, kh, kw, C_in), so the bits do not depend on the blocks.  The
-    output is an NCHW view of the channels-last result, so a following conv
-    gathers from it without a transpose copy.
+    x: (B, H, W, C_in), w: (C_out, C_in, kh, kw), b: (C_out,); the output is
+    (B, OH, OW, C_out).  The input is padded once; then, block by block of
+    ``CONV_BLOCK_ROWS`` patch rows, ``kernels.im2col`` gathers the rows and
+    one GEMM per sample meets them with the weight permuted to
+    (C_out, kh, kw, C_in), so the bits do not depend on the blocks.
 
     Backward: the bias and weight gradients are one reduction each over all
     B*OH*OW rows.  Where windows overlap (kernel > stride), the input
@@ -529,15 +528,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     it is the output gradient's rows times the weight, put back by
     ``kernels.col2im`` as a block copy.
     """
-    bsz, c_in, h, wi = x.data.shape
+    bsz, h, wi, c_in = x.data.shape
     c_out, c_in2, kh, kw = w.data.shape
     if c_in != c_in2:
         raise ValueError(f"conv2d channel mismatch: input {c_in}, weight {c_in2}")
-    x_nhwc = x.data.transpose(0, 2, 3, 1)
-    xp = x_nhwc
+    xp = x.data
     if pad:
         xp = np.zeros((bsz, h + 2 * pad, wi + 2 * pad, c_in), dtype=x.data.dtype)
-        xp[:, pad : pad + h, pad : pad + wi] = x_nhwc
+        xp[:, pad : pad + h, pad : pad + wi] = x.data
     wmat = w.data.transpose(0, 2, 3, 1).reshape(c_out, -1)  # (C_out, kh*kw*C_in)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wi + 2 * pad - kw) // stride + 1
@@ -556,10 +554,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         # folding the batch would make a sample's output depend on its batch.
         np.matmul(part.reshape(hi - lo, rows, -1), wmat.T, out=out[lo:hi])
         out[lo:hi] += b.data
-    out = out.reshape(bsz, oh, ow, c_out).transpose(0, 3, 1, 2)
+    out = out.reshape(bsz, oh, ow, c_out)
 
     def backward_fn(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)  # (B*OH*OW, C_out)
+        gmat = g.reshape(-1, c_out)  # (B*OH*OW, C_out)
         if b.requires_grad:
             _accum(b, gmat.sum(axis=0))
         if w.requires_grad:
@@ -568,7 +566,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         if not x.requires_grad:
             return
         if kh <= stride and kw <= stride:
-            dx = kernels.col2im(np.matmul(gmat, wmat), x_nhwc.shape, kh, kw, stride, pad)
+            dx = kernels.col2im(np.matmul(gmat, wmat), x.data.shape, kh, kw, stride, pad)
         else:
             # Output pixel (oy, ox) reads padded input rows oy*stride + i, so
             # its gradient lands at kh-1 + oy*stride in a frame kh-1 rows
@@ -576,12 +574,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             hp, wp = h + 2 * pad, wi + 2 * pad
             gd = np.zeros((bsz, hp + kh - 1, wp + kw - 1, c_out), dtype=g.dtype)
             gd[:, kh - 1 : kh - 1 + stride * oh : stride,
-               kw - 1 : kw - 1 + stride * ow : stride] = g.transpose(0, 2, 3, 1)
+               kw - 1 : kw - 1 + stride * ow : stride] = g
             gd = gd[:, pad : pad + h + kh - 1, pad : pad + wi + kw - 1]
             wflip = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
             dx = np.matmul(kernels.im2col(gd, kh, kw, 1), wflip)
             dx = dx.reshape(bsz, h, wi, c_in)
-        _accum(x, dx.transpose(0, 3, 1, 2), fresh=True)
+        _accum(x, dx, fresh=True)
 
     return _make(out, (x, w, b), backward_fn)
 

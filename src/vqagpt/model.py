@@ -234,6 +234,8 @@ def classify(x: ad.Tensor, model: VQAModel, key_pad: np.ndarray, past=()) -> ad.
     bsz, n_past = x.shape[0], past[0].shape[1] if past else 0
     end, total = n_past + x.shape[1], key_pad.shape[1]
     start = total - cfg.n_tokens if cfg.order == "early_word" else cfg.n_tokens
+    if not n_past <= start < end:
+        raise ValueError(f"readout rows from slot {start} are not rows {n_past}-{end - 1} of x")
     first = start - n_past if not ad.no_grad.recording and end - start >= 2 else 0
     h = decoder_forward(x, model, key_pad, past, first)
     # Made after the forward: an array held across it shifts the heap, and

@@ -21,7 +21,8 @@ Each runs in two stages.  ``image_features`` is the parameter-free one
 depends on the image alone, so training and evaluation run it once per
 dataset.  ``encode_images`` is the learned one, on those features.  All
 learned state lives in the params dict so the model owns initialization
-and updates.
+and updates.  Every image map is channels-last, (B, H, W, C), from the
+image batch through the frozen bank to each ``autodiff.conv2d`` output.
 """
 
 from __future__ import annotations
@@ -136,27 +137,28 @@ def _corr3(padded: np.ndarray, kern: np.ndarray, size: int) -> np.ndarray:
 
 
 def _fixed_feature_maps(x: np.ndarray) -> np.ndarray:
-    """Frozen feature bank for cnn_lite: (B, 3, S, S) -> (B, 8, S/2, S/2).
+    """Frozen feature bank for cnn_lite: (B, S, S, 3) -> (B, S/2, S/2, 8).
 
     A 2x2 mean pool, then per-pixel color plus rectified edge responses
-    (two axis-aligned, two diagonal, one laplacian) on luminance.  These
+    (two axis-aligned, two diagonal, one laplacian) on luminance: the 8
+    channels are the three pooled colors, then the five responses.  These
     play the role a pretrained backbone's early layers play at full
     scale: the learned head starts from features that already separate
     color and contour instead of having to discover them end to end.
     """
-    b, _, s, _ = x.shape
+    b, s = x.shape[:2]
     half = s // 2
     # The 2x2 mean pool as two pair sums: strided adds, not a strided
     # reduction, which costs ten times as much.
-    v = x.reshape(b, 3, half, 2, half, 2)
-    pooled = ((v[..., 0, :, 0] + v[..., 0, :, 1]) + (v[..., 1, :, 0] + v[..., 1, :, 1])) / 4
-    luma = 0.299 * pooled[:, 0] + 0.587 * pooled[:, 1] + 0.114 * pooled[:, 2]
+    v = x.reshape(b, half, 2, half, 2, 3)
+    pooled = ((v[:, :, 0, :, 0] + v[:, :, 0, :, 1]) + (v[:, :, 1, :, 0] + v[:, :, 1, :, 1])) / 4
+    luma = 0.299 * pooled[..., 0] + 0.587 * pooled[..., 1] + 0.114 * pooled[..., 2]
     padded = np.pad(luma, ((0, 0), (1, 1), (1, 1)), mode="edge")
     edges = [
         np.abs(_corr3(padded, k, half))
         for k in (_KERN_EDGE_X, _KERN_EDGE_Y, _KERN_DIAG_A, _KERN_DIAG_B, _KERN_LAPLACE)
     ]
-    return np.concatenate([pooled, np.stack(edges, axis=1)], axis=1)
+    return np.concatenate([pooled, np.stack(edges, axis=-1)], axis=-1)
 
 
 def init_tokenizer_params(cfg: ModelConfig, rng: np.random.Generator, dtype) -> dict:
@@ -204,23 +206,11 @@ def init_tokenizer_params(cfg: ModelConfig, rng: np.random.Generator, dtype) -> 
     return params
 
 
-def _check_image_batch(imgs: np.ndarray, cfg: ModelKeys) -> np.ndarray:
-    imgs = np.asarray(imgs)
-    if imgs.ndim != 4 or imgs.shape[3] != 3:
-        raise DataError(f"expected image batch (B, H, W, 3), got shape {imgs.shape}")
-    if imgs.shape[1] != cfg.image_size or imgs.shape[2] != cfg.image_size:
-        raise DataError(
-            f"image size {imgs.shape[1]}x{imgs.shape[2]} does not match "
-            f"configured {cfg.image_size}x{cfg.image_size}"
-        )
-    return np.ascontiguousarray(imgs.transpose(0, 3, 1, 2))  # to (B, 3, H, W)
-
-
 def feature_shape(cfg: ModelKeys) -> tuple:
-    """Per-sample shape of ``image_features``: the learned stage's input."""
+    """Per-sample ``image_features`` shape: cnn_lite (S/2, S/2, 8) maps, vit_lite (g*g, 3*p*p)."""
     if cfg.vision_backend == "cnn_lite":
         half = cfg.image_size // 2
-        return (_CNN_BANK_CH, half, half)
+        return (half, half, _CNN_BANK_CH)
     p = cfg.image_size // cfg.patch_grid
     return (cfg.n_tokens, 3 * p * p)
 
@@ -236,7 +226,15 @@ def image_features(imgs: np.ndarray, cfg: ModelKeys, dtype) -> np.ndarray:
     all-positive block that mostly trains its bias.  Then cnn_lite applies
     its frozen filter bank, and vit_lite cuts the image into patch rows.
     """
-    x = 2.0 * _check_image_batch(imgs, cfg).astype(dtype, copy=False) - 1.0
+    imgs = np.asarray(imgs)
+    if imgs.ndim != 4 or imgs.shape[3] != 3:
+        raise DataError(f"expected image batch (B, H, W, 3), got shape {imgs.shape}")
+    if imgs.shape[1] != cfg.image_size or imgs.shape[2] != cfg.image_size:
+        raise DataError(
+            f"image size {imgs.shape[1]}x{imgs.shape[2]} does not match "
+            f"configured {cfg.image_size}x{cfg.image_size}"
+        )
+    x = 2.0 * imgs.astype(dtype, copy=False) - 1.0
     if cfg.vision_backend == "cnn_lite":
         return _fixed_feature_maps(x)
     # The patches tile the image, so patchify is a reshape and one transpose
@@ -244,7 +242,7 @@ def image_features(imgs: np.ndarray, cfg: ModelKeys, dtype) -> np.ndarray:
     # channel-major then pixel row-major, the flattening proj_w expects.
     g = cfg.patch_grid
     p = cfg.image_size // g
-    patches = x.reshape(x.shape[0], 3, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)
+    patches = x.reshape(x.shape[0], g, p, g, p, 3).transpose(0, 1, 3, 5, 2, 4)
     return patches.reshape(x.shape[0], g * g, 3 * p * p)
 
 
@@ -270,8 +268,7 @@ def encode_images(feats: np.ndarray, cfg: ModelConfig, params: dict) -> ad.Tenso
         h = ad.gelu(ad.add(x, r))
         k = (cfg.image_size // 2) // g
         out = ad.conv2d(h, params["tok.out_w"], params["tok.out_b"], stride=k, pad=0)
-        # (B, token_dim, g, g) -> (B, g*g, token_dim), row-major over the grid
-        out = ad.transpose(out, (0, 2, 3, 1))
+        # (B, g, g, token_dim) -> (B, g*g, token_dim), row-major over the grid
         return ad.reshape(out, (len(feats), g * g, cfg.token_dim))
     tokens = ad.linear(x, params["tok.proj_w"], params["tok.proj_b"])
     if cfg.vit_internal_pose:

@@ -36,20 +36,20 @@ def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def conv2d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad: int):
-    """Cross-correlation oracle built on scipy.signal.correlate2d."""
-    bsz, c_in, h, wi = x.shape
+    """Cross-correlation oracle built on scipy.signal.correlate2d, on (B, H, W, C) maps."""
+    bsz, h, wi, c_in = x.shape
     c_out = w.shape[0]
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     oh = (h + 2 * pad - w.shape[2]) // stride + 1
     ow = (wi + 2 * pad - w.shape[3]) // stride + 1
-    out = np.zeros((bsz, c_out, oh, ow), dtype=x.dtype)
+    out = np.zeros((bsz, oh, ow, c_out), dtype=x.dtype)
     for n in range(bsz):
         for co in range(c_out):
-            acc = np.zeros((x.shape[2] - w.shape[2] + 1, x.shape[3] - w.shape[3] + 1), dtype=x.dtype)
+            acc = np.zeros((x.shape[1] - w.shape[2] + 1, x.shape[2] - w.shape[3] + 1), dtype=x.dtype)
             for ci in range(c_in):
-                acc += correlate2d(x[n, ci], w[co, ci], mode="valid")
-            out[n, co] = acc[::stride, ::stride] + b[co]
+                acc += correlate2d(x[n, :, :, ci], w[co, ci], mode="valid")
+            out[n, :, :, co] = acc[::stride, ::stride] + b[co]
     return out
 
 
@@ -57,7 +57,7 @@ def conv2d_gemm_reference(x, w, b, stride: int, pad: int, g=None):
     """conv2d as one whole-batch patch gather and a stacked per-sample GEMM.
 
     The formulation ``autodiff.conv2d`` keeps bit for bit, in plain numpy:
-    ``np.pad`` of the channels-last input, the (B*OH*OW, kh*kw*C_in) patch
+    ``np.pad`` of the (B, H, W, C_in) input, the (B*OH*OW, kh*kw*C_in) patch
     rows of the whole batch, one GEMM per sample against the (kh, kw, C_in)
     -ordered weight, then the bias.  Given an output gradient ``g``, it
     returns (out, dx, dw, db): the bias and weight gradients are one
@@ -66,7 +66,7 @@ def conv2d_gemm_reference(x, w, b, stride: int, pad: int, g=None):
     patch rows of the stride-dilated, padded ``g`` against the flipped
     weight (overlapping ones).
     """
-    bsz, c_in, h, wi = x.shape
+    bsz, h, wi, c_in = x.shape
     c_out, _, kh, kw = w.shape
     oh, ow = (h + 2 * pad - kh) // stride + 1, (wi + 2 * pad - kw) // stride + 1
 
@@ -75,16 +75,15 @@ def conv2d_gemm_reference(x, w, b, stride: int, pad: int, g=None):
                                                               : step * cols : step]
         return win.transpose(0, 1, 2, 4, 5, 3).reshape(len(img) * rows * cols, -1)
 
-    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     cols = patch_rows(xp, oh, ow, stride)
     wmat = w.transpose(0, 2, 3, 1).reshape(c_out, -1)
     out = np.matmul(cols.reshape(bsz, oh * ow, -1), wmat.T)
     out += b
-    out = out.reshape(bsz, oh, ow, c_out).transpose(0, 3, 1, 2)
+    out = out.reshape(bsz, oh, ow, c_out)
     if g is None:
         return out
-    # The tape holds the output gradient in the output's channels-last memory.
-    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, c_out)
+    gmat = g.reshape(-1, c_out)
     db = gmat.sum(axis=0)
     dw = np.matmul(gmat.T, cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
     if kh <= stride and kw <= stride:
@@ -97,11 +96,11 @@ def conv2d_gemm_reference(x, w, b, stride: int, pad: int, g=None):
     else:
         gd = np.zeros((bsz, h + 2 * pad + kh - 1, wi + 2 * pad + kw - 1, c_out), dtype=g.dtype)
         gd[:, kh - 1 : kh - 1 + stride * oh : stride,
-           kw - 1 : kw - 1 + stride * ow : stride] = g.transpose(0, 2, 3, 1)
+           kw - 1 : kw - 1 + stride * ow : stride] = g
         gd = gd[:, pad : pad + h + kh - 1, pad : pad + wi + kw - 1]
         wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
         dx = np.matmul(patch_rows(gd, h, wi, 1), wflip).reshape(bsz, h, wi, c_in)
-    return out, dx.transpose(0, 3, 1, 2), dw, db
+    return out, dx, dw, db
 
 
 def im2col_reference(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
@@ -226,11 +225,11 @@ def frozen_bank_reference(images: np.ndarray) -> np.ndarray:
 
     Recentre to [-1, 1], mean-pool 2x2 blocks, take luma, then the absolute
     response of each kernel (divided by 4) over the edge-padded luma.  Out:
-    (B, 8, S/2, S/2), the three pooled colors then the five responses.
+    (B, S/2, S/2, 8), the three pooled colors then the five responses.
     """
     b, s = images.shape[0], images.shape[1]
     half = s // 2
-    out = np.zeros((b, 8, half, half))
+    out = np.zeros((b, half, half, 8))
     for n in range(b):
         pooled = [[[0.0] * half for _ in range(half)] for _ in range(3)]
         luma = [[0.0] * half for _ in range(half)]
@@ -240,7 +239,7 @@ def frozen_bank_reference(images: np.ndarray) -> np.ndarray:
                     block = [2.0 * float(images[n, 2 * i + a, 2 * j + e, c]) - 1.0
                              for a in (0, 1) for e in (0, 1)]
                     pooled[c][i][j] = sum(block) / 4.0
-                    out[n, c, i, j] = pooled[c][i][j]
+                    out[n, i, j, c] = pooled[c][i][j]
                 luma[i][j] = (0.299 * pooled[0][i][j] + 0.587 * pooled[1][i][j]
                               + 0.114 * pooled[2][i][j])
         for k, kern in enumerate(_BANK_KERNELS):
@@ -252,7 +251,7 @@ def frozen_bank_reference(images: np.ndarray) -> np.ndarray:
                             r = min(max(i + a - 1, 0), half - 1)  # edge padding
                             c = min(max(j + e - 1, 0), half - 1)
                             acc += kern[a][e] / 4.0 * luma[r][c]
-                    out[n, 3 + k, i, j] = abs(acc)
+                    out[n, i, j, 3 + k] = abs(acc)
     return out
 
 

@@ -148,7 +148,7 @@ def test_embedding_lookup_forward_and_range_error():
 def test_conv2d_matches_scipy_reference():
     rng = np.random.default_rng(2)
     for stride, pad in ((1, 0), (1, 1), (2, 1), (4, 0)):
-        x = rng.standard_normal((2, 3, 8, 8))
+        x = rng.standard_normal((2, 8, 8, 3))
         w = rng.standard_normal((5, 3, 3, 3)) if stride != 4 else rng.standard_normal((5, 3, 4, 4))
         b = rng.standard_normal(5)
         got = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad).data
@@ -174,7 +174,7 @@ CONV_LAYOUTS = [
 def test_conv2d_window_layouts_match_scipy_and_finite_differences(layout):
     c_in, c_out, h, w_, k, stride, pad = layout
     rng = np.random.default_rng(11)
-    x = t(rng.standard_normal((2, c_in, h, w_)))
+    x = t(rng.standard_normal((2, h, w_, c_in)))
     w = t(rng.standard_normal((c_out, c_in, k, k)))
     b = t(rng.standard_normal(c_out))
     got = ad.conv2d(x, w, b, stride=stride, pad=pad).data
@@ -201,7 +201,7 @@ def test_blocked_conv2d_is_bitwise_the_whole_batch_gemm(layout, dtype):
     c_in, c_out, size, k, stride, pad = layout
     rng = np.random.default_rng(70)
     for batch in (1, 3, 4, 5, 17, 64):
-        x = rng.standard_normal((batch, c_in, size, size)).astype(dtype)
+        x = rng.standard_normal((batch, size, size, c_in)).astype(dtype)
         w = rng.standard_normal((c_out, c_in, k, k)).astype(dtype)
         b = rng.standard_normal(c_out).astype(dtype)
         out = ad.conv2d(*(Tensor(a, requires_grad=True) for a in (x, w, b)), stride, pad)
@@ -340,10 +340,10 @@ def test_grad_cross_entropy():
 
 def test_grad_conv2d():
     rng = np.random.default_rng(9)
-    x = t(rng.standard_normal((2, 3, 6, 6)))
+    x = t(rng.standard_normal((2, 6, 6, 3)))
     w = t(rng.standard_normal((4, 3, 3, 3)))
     b = t(rng.standard_normal(4))
-    m = Tensor(rng.standard_normal((2, 4, 3, 3)))
+    m = Tensor(rng.standard_normal((2, 3, 3, 4)))
     check_grads(
         lambda: ad.sum_(ad.mul(ad.conv2d(x, w, b, stride=2, pad=1), m)), [x, w, b]
     )

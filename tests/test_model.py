@@ -216,6 +216,16 @@ def test_logits_length_follows_num_classes():
     assert abs(probs.sum() - 1.0) < 1e-6
 
 
+def test_classify_rejects_rows_that_cannot_hold_the_readout():
+    # 3 rows on a model with m = 4 vision slots: the readout rows the layout
+    # implies (the last 4, or those after the first 4) are not rows of x.
+    seq = raw_sequence(np.random.default_rng(11), 3, small_config().d)
+    for order in ("early_word", "early_vision"):
+        m = init_params(small_config(order=order), seed=10, dtype=np.float64)
+        with pytest.raises(ValueError, match="readout rows"):
+            classify(seq, m, no_pad(seq))
+
+
 @pytest.mark.parametrize("patch_grid", [2, 1])
 @pytest.mark.parametrize("order", ["early_word", "early_vision"])
 def test_classify_pools_the_real_rows_of_the_trailing_segment(order, patch_grid):

@@ -6,10 +6,12 @@ Usage:
 
 Each checkout's ``src/vqagpt`` is imported under a name of its own, in one
 process pinned to one core with single-threaded BLAS.  Both sides get the
-same desk corpus, the arrays checkout A prepares from it, and the same
-initial weights: A's ``init_params``, copied into B through B's
-``restore_model``.  The two models then take the same train steps, so they
-stay equal as long as the two checkouts compute alike.
+same desk corpus, and each prepares its own arrays from it with its own
+``cli._prepare_arrays``, so a change to the features' layout can be timed.
+Both get the same initial weights: A's ``init_params``, copied into B
+through B's ``restore_model``.  The two models then take the same train
+steps, on the same rows, so they stay equal as long as the two checkouts
+compute alike.
 
 Each round times, for the models of the two benchmark workloads
 (``desk_b64``: cnn_lite in early_word order; ``vit_ev_b64``: vit_lite in
@@ -23,7 +25,7 @@ that checkout A's ``train`` command wrote for that model (one epoch at
 batch 64).  Each ``eval`` command forks its own peer, as it does outside
 this tool, so its row pays the fork's copy-on-write faults, which the warm
 passes never see.  Each side's peer is forked once, before the first round,
-over copies of the two splits' features (a pass finds its peer by its
+over copies of that side's two splits (a pass finds its peer by its
 features), and pins itself to the last of the process's original cores.
 The ``eval`` command runs on the process's original cores, and both sides
 must print the same report.  Within a round every operation runs on both
@@ -79,11 +81,17 @@ def load_package(checkout: Path, name: str) -> dict:
 
 
 class Side:
-    """One checkout's model, optimizer state and run config for one of ``MODELS``."""
+    """One checkout's arrays, model, optimizer state and run config for one of ``MODELS``."""
 
-    def __init__(self, pkg: dict, cfg, n_vocab: int, n_classes: int, tensors=None):
+    def __init__(self, pkg: dict, cfg, tensors=None):
         self.pkg, self.cfg = pkg, cfg
-        model_cfg = cfg.to_model_config(n_vocab, n_classes)
+        train_ds, test_ds = pkg["cli"]._load_split(cfg)
+        vocab = pkg["tokenizers"].build_vocab([s.question for s in train_ds.samples],
+                                              cfg.min_word_count)
+        # The train and test splits' (features, question ids, labels, types)
+        self.splits = [pkg["cli"]._prepare_arrays(cfg, vocab, ds, ds.samples)
+                       for ds in (train_ds, test_ds)]
+        model_cfg = cfg.to_model_config(vocab.size, len(train_ds.label_map))
         if tensors is None:
             self.model = pkg["model"].init_params(model_cfg, cfg.seed, np.float32)
         else:
@@ -136,38 +144,29 @@ def eval_argv(side: Side, data: Path, work: Path, backend: str, order: str) -> l
             "--out", str(run / "eval")]
 
 
-def fork_peers(sides: list, splits: list, peers: contextlib.ExitStack) -> list:
-    """``splits`` over copies of their features, held by each side's peer, forked into ``peers``."""
-    forked = [(split[0].copy(), *split[1:]) for split in splits]
+def fork_peers(sides: list, peers: contextlib.ExitStack) -> None:
+    """Each side's splits, copied into ``side.forked`` and held by its peer, forked into ``peers``."""
     pinned = os.sched_getaffinity(0)
     os.sched_setaffinity(0, CORES)  # each peer pins itself to the last of these
     try:
         for side in sides:
-            peers.enter_context(side.pkg["model"].Peer(side.model, [f[:2] for f in forked]))
+            side.forked = [(split[0].copy(), *split[1:]) for split in side.splits]
+            peers.enter_context(side.pkg["model"].Peer(side.model,
+                                                       [f[:2] for f in side.forked]))
     finally:
         os.sched_setaffinity(0, pinned)
-    return forked
 
 
 def build(pkgs: list, data: Path, work: Path, peers: contextlib.ExitStack) -> list:
-    """Per model: (name, splits, peer-held splits, eval command arguments, [side A, side B])."""
-    a = pkgs[0]
+    """Per model: (name, eval command arguments, [side A, side B])."""
     out = []
     for model in MODELS:
-        cfg = run_config(a, data, *model)
-        train_ds, test_ds = a["cli"]._load_split(cfg)
-        vocab = a["tokenizers"].build_vocab([s.question for s in train_ds.samples],
-                                            cfg.min_word_count)
-        splits = [a["cli"]._prepare_arrays(cfg, vocab, ds, ds.samples)
-                  for ds in (train_ds, test_ds)]
-        n_classes = len(train_ds.label_map)
-        side_a = Side(a, cfg, vocab.size, n_classes)
+        side_a = Side(pkgs[0], run_config(pkgs[0], data, *model))
         tensors = {n: p.data.copy() for n, p in side_a.model.params.items()}
-        side_b = Side(pkgs[1], run_config(pkgs[1], data, *model), vocab.size, n_classes,
-                      tensors)
+        side_b = Side(pkgs[1], run_config(pkgs[1], data, *model), tensors)
         argv = eval_argv(side_a, data, work, *model)
-        forked = fork_peers([side_a, side_b], splits, peers)
-        out.append(("/".join(model), splits, forked, argv, [side_a, side_b]))
+        fork_peers([side_a, side_b], peers)
+        out.append(("/".join(model), argv, [side_a, side_b]))
     return out
 
 
@@ -177,22 +176,24 @@ def measure(models: list, rounds: int) -> dict:
     rng = np.random.default_rng(0)
     for r in range(WARMUP_ROUNDS + rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
-        for model, (train, test), forked, argv, sides in models:
-            feats, qids, labels = train[:3]
+        for model, argv, sides in models:
+            # Each op: (name, method, [side A's argument, side B's argument])
             ops = []
             for b in BATCHES:
-                idx = rng.choice(len(labels), size=b, replace=False)
-                batch = (feats[idx], qids[idx], labels[idx])
-                ops.append((f"{model} train step b{b}", "train_step", batch))
-            for split in (train, test):
-                ops.append((f"{model} eval pass {len(split[2])}", "eval_pass", split))
-            for split in forked:
-                ops.append((f"{model} eval pass {len(split[2])} peer", "eval_pass", split))
-            ops.append((f"{model} eval command", "command", argv))
-            for name, method, arg in ops:
+                idx = rng.choice(len(sides[0].splits[0][2]), size=b, replace=False)
+                ops.append((f"{model} train step b{b}", "train_step",
+                            [tuple(a[idx] for a in side.splits[0][:3]) for side in sides]))
+            for i, split in enumerate(sides[0].splits):
+                ops.append((f"{model} eval pass {len(split[2])}", "eval_pass",
+                            [side.splits[i] for side in sides]))
+            for i, split in enumerate(sides[0].splits):
+                ops.append((f"{model} eval pass {len(split[2])} peer", "eval_pass",
+                            [side.forked[i] for side in sides]))
+            ops.append((f"{model} eval command", "command", [argv, argv]))
+            for name, method, args in ops:
                 got = [0.0, 0.0]
                 for s in order:
-                    got[s] = getattr(sides[s], method)(arg)
+                    got[s] = getattr(sides[s], method)(args[s])
                 if method == "command" and sides[0].printed != sides[1].printed:
                     raise SystemExit(f"{model}: the two eval commands printed different "
                                      f"reports:\n{sides[0].printed}\n{sides[1].printed}")
